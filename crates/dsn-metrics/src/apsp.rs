@@ -2,11 +2,19 @@
 //! (ASPL), eccentricities and hop-distance histograms — the quantities
 //! plotted in the paper's Figures 7 and 8.
 //!
-//! One BFS per source, fanned out over a rayon pool; the per-source partial
-//! results (max distance, distance sum, histogram) are reduced
-//! associatively, so the parallel sweep is deterministic.
+//! The sweep is a bit-parallel multi-source BFS (MS-BFS, Then et al.,
+//! VLDB 2015). The graph is flattened once into a `u32` CSR; sources then
+//! run 256 at a time, each node holding one bit per source in its
+//! `seen` / `frontier` / `next` words. A BFS level is one pull pass over the
+//! nodes, `next[v] = OR(frontier[u] for u in N(v)) & !seen[v]`, so every
+//! source of a batch advances together for the cost of a few word ORs per
+//! edge. Per-level popcounts give the histogram and distance sum, and the
+//! per-level OR of `next` gives each source's eccentricity.
+//!
+//! Batches fan out over the [`Parallelism`] policy and their integer
+//! partials are reduced in batch order, so the result — ASPL bits included —
+//! is identical for any worker count.
 
-use crate::bfs::{BfsWorkspace, UNREACHABLE};
 use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
 use rayon::prelude::*;
@@ -52,116 +60,184 @@ impl PathStats {
     }
 }
 
-/// Per-source partial accumulation, merged pairwise.
-#[derive(Debug, Clone)]
-struct Partial {
-    max: u32,
-    sum: u64,
-    count: u64,
-    unreachable: u64,
-    hist: Vec<u64>,
+/// Sources per MS-BFS batch: one bit each across [`WORDS`] `u64` words.
+const LANES: usize = 256;
+const WORDS: usize = LANES / 64;
+
+/// One bit per source of a batch.
+type Lanes = [u64; WORDS];
+
+const NONE: Lanes = [0; WORDS];
+
+/// Compressed adjacency: the neighbours of `v` are
+/// `targets[offsets[v]..offsets[v + 1]]`.
+struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
 }
 
-impl Partial {
-    fn empty() -> Self {
-        Partial {
-            max: 0,
-            sum: 0,
-            count: 0,
-            unreachable: 0,
-            hist: Vec::new(),
+impl Csr {
+    fn new(g: &Graph) -> Self {
+        let n = g.node_count();
+        assert!(
+            u32::try_from(n).is_ok() && u32::try_from(2 * g.edge_count()).is_ok(),
+            "graph too large for u32 CSR indices"
+        );
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * g.edge_count());
+        offsets.push(0);
+        for v in 0..n {
+            targets.extend(g.neighbor_ids(v).map(|u| u as u32));
+            offsets.push(targets.len() as u32);
         }
+        Csr { offsets, targets }
     }
 
-    fn merge(mut self, other: Partial) -> Self {
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.count += other.count;
-        self.unreachable += other.unreachable;
-        if self.hist.len() < other.hist.len() {
-            self.hist.resize(other.hist.len(), 0);
-        }
-        for (i, v) in other.hist.into_iter().enumerate() {
-            self.hist[i] += v;
-        }
-        self
+    fn neighbors(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 }
 
-/// One BFS from `s` folded into a per-source partial — the unit of work
-/// the serial and parallel sweeps share.
-fn source_partial(g: &Graph, ws: &mut BfsWorkspace, s: usize) -> (u32, Partial) {
-    let dist = ws.run(g, s);
-    let mut part = Partial::empty();
-    let mut ecc = 0u32;
-    for (v, &d) in dist.iter().enumerate() {
-        if v == s {
-            continue;
+/// Per-worker MS-BFS bitsets, reused across batches.
+struct Bitsets {
+    seen: Vec<Lanes>,
+    frontier: Vec<Lanes>,
+    next: Vec<Lanes>,
+}
+
+impl Bitsets {
+    fn new(n: usize) -> Self {
+        Bitsets {
+            seen: vec![NONE; n],
+            frontier: vec![NONE; n],
+            next: vec![NONE; n],
         }
-        if d == UNREACHABLE {
-            part.unreachable += 1;
-        } else {
-            ecc = ecc.max(d);
-            part.sum += d as u64;
-            part.count += 1;
-            let idx = d as usize;
-            if part.hist.len() <= idx {
-                part.hist.resize(idx + 1, 0);
+    }
+}
+
+/// Run one MS-BFS from up to [`LANES`] sources at once. Returns the
+/// batch's hop histogram (slot 0 left at zero) and each source's
+/// eccentricity, in batch order.
+fn run_batch(csr: &Csr, bits: &mut Bitsets, sources: &[usize]) -> (Vec<u64>, Vec<u32>) {
+    let n = csr.offsets.len() - 1;
+    debug_assert!(sources.len() <= LANES);
+    let Bitsets {
+        seen,
+        frontier,
+        next,
+    } = bits;
+    seen.fill(NONE);
+    frontier.fill(NONE);
+    // The lanes in use: a node whose `seen` equals this is done.
+    let mut all = NONE;
+    for (lane, &s) in sources.iter().enumerate() {
+        let bit = 1 << (lane % 64);
+        seen[s][lane / 64] |= bit;
+        frontier[s][lane / 64] |= bit;
+        all[lane / 64] |= bit;
+    }
+
+    let mut histogram = vec![0];
+    let mut eccentricity = vec![0; sources.len()];
+    for d in 1u32.. {
+        let mut count = 0u64;
+        let mut arrived = NONE;
+        for v in 0..n {
+            let s = seen[v];
+            if s == all {
+                next[v] = NONE;
+                continue;
             }
-            part.hist[idx] += 1;
+            let mut acc = NONE;
+            for &u in csr.neighbors(v) {
+                let f = &frontier[u as usize];
+                for w in 0..WORDS {
+                    acc[w] |= f[w];
+                }
+            }
+            for w in 0..WORDS {
+                acc[w] &= !s[w];
+            }
+            next[v] = acc;
+            if acc != NONE {
+                for w in 0..WORDS {
+                    seen[v][w] = s[w] | acc[w];
+                    arrived[w] |= acc[w];
+                    count += acc[w].count_ones() as u64;
+                }
+            }
         }
+        if count == 0 {
+            break;
+        }
+        histogram.push(count);
+        for (w, &word) in arrived.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                eccentricity[64 * w + bits.trailing_zeros() as usize] = d;
+                bits &= bits - 1;
+            }
+        }
+        std::mem::swap(frontier, next);
     }
-    part.max = ecc;
-    (ecc, part)
+    (histogram, eccentricity)
 }
 
-/// Sweep the given sources (serial or fanned out per the policy) and
-/// assemble the final stats. The per-source partials are integers merged
-/// in source order, so the result is bit-identical across policies.
+/// Sweep the given sources in batches of [`LANES`] (serial or fanned out
+/// per the policy) and assemble the final stats. The batch partials are
+/// integers merged in batch order, so the result is bit-identical across
+/// policies.
 fn sweep_sources(g: &Graph, sources: &[usize], par: &Parallelism) -> PathStats {
     let n = g.node_count();
-    let per_source: Vec<(u32, Partial)> = if par.is_serial() {
-        let mut ws = BfsWorkspace::new(n);
-        sources
+    let csr = Csr::new(g);
+    let batches: Vec<&[usize]> = sources.chunks(LANES).collect();
+    let per_batch: Vec<(Vec<u64>, Vec<u32>)> = if par.is_serial() {
+        let mut bits = Bitsets::new(n);
+        batches
             .iter()
-            .map(|&s| source_partial(g, &mut ws, s))
+            .map(|b| run_batch(&csr, &mut bits, b))
             .collect()
     } else {
-        sources
+        batches
             .par_iter()
-            .map_init(|| BfsWorkspace::new(n), |ws, &s| source_partial(g, ws, s))
+            .map_init(|| Bitsets::new(n), |bits, b| run_batch(&csr, bits, b))
             .collect()
     };
 
-    let eccentricity: Vec<u32> = per_source.iter().map(|(e, _)| *e).collect();
-    let total = per_source
-        .into_iter()
-        .map(|(_, p)| p)
-        .reduce(Partial::merge)
-        .unwrap_or_else(Partial::empty);
-
-    let mut histogram = total.hist;
-    if histogram.is_empty() {
-        histogram.push(0);
-    }
     // Slot 0 counts self pairs for a complete ordered-pair accounting.
-    histogram[0] = sources.len() as u64;
+    let mut histogram = vec![sources.len() as u64];
+    let mut eccentricity = Vec::with_capacity(sources.len());
+    for (hist, ecc) in per_batch {
+        if histogram.len() < hist.len() {
+            histogram.resize(hist.len(), 0);
+        }
+        for (d, c) in hist.into_iter().enumerate().skip(1) {
+            histogram[d] += c;
+        }
+        eccentricity.extend(ecc);
+    }
+    let reached: u64 = histogram[1..].iter().sum();
+    let sum: u64 = histogram
+        .iter()
+        .enumerate()
+        .map(|(d, &c)| d as u64 * c)
+        .sum();
 
     PathStats {
         nodes: n,
-        diameter: total.max,
-        aspl: if total.count == 0 {
+        diameter: histogram.len() as u32 - 1,
+        aspl: if reached == 0 {
             0.0
         } else {
-            total.sum as f64 / total.count as f64
+            sum as f64 / reached as f64
         },
         histogram,
         eccentricity,
-        unreachable_pairs: total.unreachable,
+        unreachable_pairs: (sources.len() * n.saturating_sub(1)) as u64 - reached,
     }
 }
 
-/// Exact APSP statistics via a parallel BFS sweep (one BFS per source).
+/// Exact APSP statistics via the batched multi-source BFS sweep.
 pub fn path_stats(g: &Graph) -> PathStats {
     path_stats_with(g, &Parallelism::auto())
 }
@@ -169,18 +245,7 @@ pub fn path_stats(g: &Graph) -> PathStats {
 /// [`path_stats`] under an explicit [`Parallelism`] policy. Serial and
 /// parallel sweeps produce bit-identical results.
 pub fn path_stats_with(g: &Graph, par: &Parallelism) -> PathStats {
-    let n = g.node_count();
-    if n == 0 {
-        return PathStats {
-            nodes: 0,
-            diameter: 0,
-            aspl: 0.0,
-            histogram: vec![0],
-            eccentricity: Vec::new(),
-            unreachable_pairs: 0,
-        };
-    }
-    let sources: Vec<usize> = (0..n).collect();
+    let sources: Vec<usize> = (0..g.node_count()).collect();
     sweep_sources(g, &sources, par)
 }
 

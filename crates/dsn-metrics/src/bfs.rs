@@ -2,8 +2,9 @@
 //!
 //! Interconnect hop metrics (diameter, average shortest path length) are all
 //! BFS-based because every link costs one switch hop. The hot loop avoids
-//! allocation by reusing a caller-provided workspace, which matters when the
-//! APSP sweep runs one BFS per source across a rayon pool.
+//! allocation by reusing a caller-provided workspace, which matters when a
+//! caller runs many searches in a row. (The all-pairs sweep in
+//! [`crate::apsp`] has its own multi-source kernel.)
 
 use dsn_core::graph::Graph;
 use dsn_core::NodeId;

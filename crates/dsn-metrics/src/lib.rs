@@ -1,7 +1,8 @@
 //! # dsn-metrics — parallel graph analysis for interconnect topologies
 //!
-//! Exact, rayon-parallel all-pairs shortest-path analysis (diameter, average
-//! shortest path length, eccentricities, hop histograms) plus clustering /
+//! Exact all-pairs shortest-path analysis by bit-parallel multi-source BFS
+//! (diameter, average shortest path length, eccentricities, hop
+//! histograms), with batches of sources spread over rayon, plus clustering /
 //! small-world metrics. These regenerate the paper's Figures 7 and 8 and
 //! back the Theorem 1–2 validation experiments.
 //!

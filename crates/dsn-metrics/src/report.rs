@@ -6,12 +6,13 @@ use dsn_core::graph::Graph;
 
 /// The Moore bound: the maximum number of nodes a graph of maximum degree
 /// `d` and diameter `k` can possibly have —
-/// `1 + d * ((d-1)^k - 1) / (d - 2)` for `d > 2`, `2k + 1` for `d = 2`.
-/// Saturates at `u64::MAX` for huge parameters.
+/// `1 + d * ((d-1)^k - 1) / (d - 2)` for `d > 2`, `2k + 1` for `d = 2`,
+/// and 1 whenever `k = 0`. Saturates at `u64::MAX` for huge parameters.
 pub fn moore_bound(d: usize, k: u32) -> u64 {
     match d {
         0 => 1,
-        1 => 2,
+        // One neighbour at most: a single link, or a lone node at k = 0.
+        1 => 1 + u64::from(k > 0),
         2 => 2 * k as u64 + 1,
         _ => {
             let mut total: u64 = 1;
@@ -117,8 +118,14 @@ mod tests {
         assert_eq!(moore_bound(3, 2), 10);
         // degree 2 (=cycle): 2k+1
         assert_eq!(moore_bound(2, 3), 7);
-        // k = 0: just the node
+        // k = 0: just the node, whatever the degree
         assert_eq!(moore_bound(5, 0), 1);
+        assert_eq!(moore_bound(2, 0), 1);
+        assert_eq!(moore_bound(1, 0), 1);
+        assert_eq!(moore_bound(0, 0), 1);
+        // degree 1: at most one link
+        assert_eq!(moore_bound(1, 1), 2);
+        assert_eq!(moore_bound(1, 5), 2);
         // degree 7, diameter 2 -> Hoffman-Singleton: 50
         assert_eq!(moore_bound(7, 2), 50);
     }
