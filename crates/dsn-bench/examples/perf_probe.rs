@@ -5,47 +5,44 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --example perf_probe -- \
 //!       [--n 64|256] [--topo dsn|torus|random] [--gbps F] \
-//!       [--engine dense|event|sharded] [--workers N] [--phase-timing]`
+//!       [--engine dense|event|sharded] [--workers N] [--pre dense|event] \
+//!       [--phase-timing]`
 
-use dsn_bench::{take_engine_arg, take_workers_arg, trio};
-use dsn_sim::{AdaptiveEscape, SimConfig, SimRouting, Simulator, TrafficPattern};
+use dsn_bench::{trio, Args, SimArgs};
+use dsn_sim::{AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, TrafficPattern};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn take_val(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    Some(args.remove(pos))
-}
+const USAGE: &str = "perf_probe [--n 64|256] [--topo dsn|torus|random] [--gbps F] \
+     [--engine dense|event|sharded] [--workers N] [--pre dense|event] [--phase-timing]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--phase-timing") {
-        args.retain(|a| a != "--phase-timing");
+    let mut args = Args::from_env();
+    let phase_timing = args.flag("phase-timing");
+    let n = args.value::<usize>("n", "a switch count").unwrap_or(256);
+    let idx = args
+        .value_with("topo", "dsn | torus | random", |v| {
+            ["dsn", "torus", "random"].iter().position(|&t| t == v)
+        })
+        .unwrap_or(0);
+    let gbps = args
+        .value::<f64>("gbps", "a load in Gbit/s/host")
+        .unwrap_or(11.0);
+    let pre = args.value_with("pre", "dense | event", |v| {
+        EngineKind::parse(v).filter(|e| *e != EngineKind::Sharded)
+    });
+    let flags = SimArgs::take(&mut args);
+    if flags.telemetry.is_some() {
+        args.fail("--telemetry is not supported here");
+    }
+    if flags.routing_tables.is_some() {
+        args.fail("--routing-tables is not supported here");
+    }
+    args.finish_or_exit(0, USAGE);
+    if phase_timing {
         // Safe: single-threaded startup, before any sim work begins.
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
-    let n: usize = take_val(&mut args, "--n")
-        .map(|v| v.parse().expect("--n"))
-        .unwrap_or(256);
-    let topo = take_val(&mut args, "--topo").unwrap_or_else(|| "dsn".into());
-    let gbps: f64 = take_val(&mut args, "--gbps")
-        .map(|v| v.parse().expect("--gbps"))
-        .unwrap_or(11.0);
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
-
-    let pre = take_val(&mut args, "--pre");
-    let idx = match topo.as_str() {
-        "dsn" => 0,
-        "torus" => 1,
-        "random" => 2,
-        other => panic!("unknown --topo {other} (dsn|torus|random)"),
-    };
     let built = trio(n)
         .into_iter()
         .nth(idx)
@@ -53,14 +50,12 @@ fn main() {
         .build()
         .expect("topology");
     let graph = Arc::new(built.graph);
-    let cfg = SimConfig {
-        engine,
-        workers,
+    let cfg = flags.apply(SimConfig {
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 15_000,
         ..SimConfig::default()
-    };
+    });
     let rate = cfg.packets_per_cycle_for_gbps(gbps);
     let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
     routing.compiled_flat();
@@ -69,11 +64,7 @@ fn main() {
         // first, reproducing the allocator state a row sees mid-way
         // through the `fig10_simulation --json` matrix.
         let pre_cfg = SimConfig {
-            engine: match pre_engine.as_str() {
-                "dense" => dsn_sim::EngineKind::Dense,
-                "event" => dsn_sim::EngineKind::Event,
-                other => panic!("unknown --pre {other}"),
-            },
+            engine: pre_engine,
             workers: 0,
             ..cfg.clone()
         };
@@ -88,7 +79,8 @@ fn main() {
         )
         .run();
         println!(
-            "  (pre {pre_engine} run: {:.3}s, delivered {})",
+            "  (pre {} run: {:.3}s, delivered {})",
+            pre_engine.name(),
             pre_start.elapsed().as_secs_f64(),
             s.delivered_packets
         );
@@ -106,9 +98,10 @@ fn main() {
     let wall = start.elapsed().as_secs_f64();
     let cycles = cfg.total_cycles();
     println!(
-        "{} n={n} {} w{workers} {gbps}G: {:.0} cycles/s ({cycles} cycles, {wall:.3}s, delivered {})",
+        "{} n={n} {} w{} {gbps}G: {:.0} cycles/s ({cycles} cycles, {wall:.3}s, delivered {})",
         built.name,
-        engine.name(),
+        cfg.engine.name(),
+        cfg.workers,
         cycles as f64 / wall,
         stats.delivered_packets,
     );

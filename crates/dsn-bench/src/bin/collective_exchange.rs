@@ -5,38 +5,30 @@
 //! delivery) on DSN, torus and RANDOM, at 64 switches x 4 hosts with the
 //! paper's router parameters.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin collective_exchange \
+//! Run: `cargo run --release -p dsn-bench --bin collective_exchange -- \
 //!       [--engine dense|event|sharded] [--workers N] \
-//!       [--routing-tables flat|dyn] [--telemetry[=WINDOW]]`
+//!       [--routing-tables flat|dyn|algorithmic] [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` instruments the all-to-all run on DSN; exports
 //! go to `telemetry_collective_dsn.{json,csv}`.
 
-use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
-};
+use dsn_bench::{emit_telemetry, trio, Args, SimArgs};
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TelemetryConfig, Workload};
 use std::sync::Arc;
 
+const USAGE: &str = "collective_exchange [--engine dense|event|sharded] [--workers N] \
+     [--routing-tables flat|dyn|algorithmic] [--telemetry[=WINDOW]]";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
-    let cfg = SimConfig {
-        engine,
-        workers,
-        routing_tables: take_routing_tables_arg(&mut args),
+    let mut args = Args::from_env();
+    let flags = SimArgs::take(&mut args);
+    args.finish_or_exit(0, USAGE);
+    let cfg = flags.apply(SimConfig {
         warmup_cycles: 0,
         measure_cycles: 10_000,
         drain_cycles: 3_000_000, // horizon; batches end much earlier
         ..SimConfig::default()
-    };
-    let telemetry = take_telemetry_arg(&mut args);
+    });
     let hosts = 64 * cfg.hosts_per_switch;
 
     println!(
@@ -79,7 +71,7 @@ fn main() {
         "\n(batch enqueued at cycle 0; makespan = last tail-flit delivery; DNF = horizon hit)"
     );
 
-    if let Some(window) = telemetry {
+    if let Some(window) = flags.telemetry {
         let spec = &trio(64)[0];
         let built = spec.build().expect("topology");
         let graph = Arc::new(built.graph);

@@ -6,9 +6,11 @@
 //! lead to better throughput for heavier traffic"; this binary puts
 //! numbers on it.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin custom_vs_agnostic [--quick]`
+//! Run: `cargo run --release -p dsn-bench --bin custom_vs_agnostic -- [--quick]`
 
+use dsn_bench::Args;
 use dsn_core::dsn::Dsn;
+use dsn_core::parallel::Parallelism;
 use dsn_sim::sweep::{find_saturation, load_sweep};
 use dsn_sim::{
     AdaptiveEscape, MinimalAdaptiveDsn, SimConfig, SimRouting, SourceRouted, TrafficPattern,
@@ -17,7 +19,9 @@ use dsn_sim::{
 use std::sync::Arc;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut args = Args::from_env();
+    let quick = args.flag("quick");
+    args.finish_or_exit(0, "custom_vs_agnostic [--quick]");
     let mut cfg = SimConfig::default();
     if quick {
         cfg.warmup_cycles = 3_000;
@@ -47,10 +51,28 @@ fn main() {
         tol: f64,
         routing: &Arc<dyn SimRouting>,
     ) {
-        let r = routing.clone();
-        let sweep = load_sweep(name, graph.clone(), cfg, || r, pattern, &[1.0], 0xC05);
-        let r = routing.clone();
-        let sat = find_saturation(graph.clone(), cfg, || r, pattern, 2.0, 40.0, tol, 0xC05);
+        let par = Parallelism::auto();
+        let sweep = load_sweep(
+            name,
+            graph.clone(),
+            cfg,
+            routing.clone(),
+            pattern,
+            &[1.0],
+            0xC05,
+            &par,
+        );
+        let sat = find_saturation(
+            graph.clone(),
+            cfg,
+            routing.clone(),
+            pattern,
+            2.0,
+            40.0,
+            tol,
+            0xC05,
+            &par,
+        );
         println!(
             "  {:<14} {:<22} {:>14.0} {:>12.1}",
             pattern.name(),

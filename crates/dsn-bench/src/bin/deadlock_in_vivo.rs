@@ -5,7 +5,7 @@
 //! simulator's stall watchdog catch the real deadlock exactly where the
 //! static analysis predicts it.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin deadlock_in_vivo \
+//! Run: `cargo run --release -p dsn-bench --bin deadlock_in_vivo -- \
 //!       [--engine dense|event|sharded] [--workers N] [--telemetry[=WINDOW]]`
 //!
 //! `--telemetry[=WINDOW]` adds a per-run allocation-conflict count and, for
@@ -13,30 +13,29 @@
 //! decomposition and heatmap — the wedged VCs show up as stalled hotspot
 //! links) with `telemetry_deadlock_<load>_<routing>.{json,csv}` exports.
 
-use dsn_bench::{emit_telemetry, take_engine_arg, take_telemetry_arg, take_workers_arg};
+use dsn_bench::{emit_telemetry, Args, SimArgs};
 use dsn_core::dsn::Dsn;
 use dsn_sim::{SimConfig, Simulator, SourceRouted, TrafficPattern};
 use std::sync::Arc;
 
+const USAGE: &str =
+    "deadlock_in_vivo [--engine dense|event|sharded] [--workers N] [--telemetry[=WINDOW]]";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
+    let mut args = Args::from_env();
+    let flags = SimArgs::take(&mut args);
+    if flags.routing_tables.is_some() {
+        args.fail("--routing-tables is not supported here");
     }
-    let telemetry = take_telemetry_arg(&mut args);
+    args.finish_or_exit(0, USAGE);
     let dsn = Arc::new(Dsn::new(60, 5).expect("dsn")); // p | n: clean instance
     let graph = Arc::new(dsn.graph().clone());
-    let cfg = SimConfig {
-        engine,
-        workers,
+    let cfg = flags.apply(SimConfig {
         warmup_cycles: 2_000,
         measure_cycles: 20_000,
         drain_cycles: 20_000,
         ..SimConfig::default()
-    };
+    });
 
     // Source-routed path tables are load-independent: build each variant
     // once and share the Arc across every load point instead of recomputing
@@ -73,7 +72,7 @@ fn main() {
                 rate,
                 0xDEAD,
             );
-            if let Some(window) = telemetry {
+            if let Some(window) = flags.telemetry {
                 sim = sim.with_telemetry(cfg.standard_telemetry(window));
             }
             let (stats, report) = sim.run_with_telemetry();

@@ -6,9 +6,9 @@
 //! fault-tolerance angle the paper's related work (Jellyfish, small-world
 //! datacenters) emphasizes.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin degraded_performance \
+//! Run: `cargo run --release -p dsn-bench --bin degraded_performance -- \
 //!       [--quick] [--engine dense|event|sharded] [--workers N] \
-//!       [--routing-tables flat|dyn] \
+//!       [--routing-tables flat|dyn|algorithmic] \
 //!       [--faults N] [--json] [--telemetry[=WINDOW]]`
 //!
 //! (Dynamic-fault runs always use the single-thread event path — fault
@@ -25,49 +25,21 @@
 use dsn_bench::degraded::{
     base_config, run_dynamic, run_dynamic_telemetry, run_static, DegradedMode, DegradedReport,
 };
-use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
-};
+use dsn_bench::{emit_telemetry, trio, Args, SimArgs};
+
+const USAGE: &str = "degraded_performance [--quick] [--engine dense|event|sharded] [--workers N] \
+     [--routing-tables flat|dyn|algorithmic] [--faults N] [--json] [--telemetry[=WINDOW]]";
 
 fn main() {
     // Parse the CLI exactly once into one shared `SimConfig`; every trial
     // below reuses it.
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
-    let routing_tables = take_routing_tables_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let faults = args
-        .iter()
-        .position(|a| a == "--faults")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--faults needs a link count");
-                    std::process::exit(2);
-                })
-        })
-        .or_else(|| {
-            args.iter().find_map(|a| {
-                a.strip_prefix("--faults=").map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("--faults needs a link count");
-                        std::process::exit(2);
-                    })
-                })
-            })
-        });
-    let mut cfg = base_config(engine, quick);
-    cfg.workers = workers;
-    cfg.routing_tables = routing_tables;
+    let mut args = Args::from_env();
+    let flags = SimArgs::take(&mut args);
+    let quick = args.flag("quick");
+    let json = args.flag("json");
+    let faults = args.value::<usize>("faults", "a link count");
+    args.finish_or_exit(0, USAGE);
+    let cfg = flags.apply(base_config(quick));
     let gbps = 4.0;
     let specs = trio(64);
 
@@ -81,7 +53,7 @@ fn main() {
         std::fs::write(path, report.to_json()).expect("write JSON report");
         println!("\n# wrote {path}");
     }
-    if let Some(window) = telemetry {
+    if let Some(window) = flags.telemetry {
         // Instrumented dynamic-fault run on DSN (first trio entry), windows
         // tagged pre-fault / post-fault.
         let (stats, tel) =

@@ -6,11 +6,11 @@
 //! topology-agnostic adaptive routing with up*/down* escape). Also prints
 //! the T3 summary row (DSN latency improvement vs torus).
 //!
-//! Run: `cargo run --release -p dsn-bench --bin fig10_simulation \
+//! Run: `cargo run --release -p dsn-bench --bin fig10_simulation -- \
 //!       [uniform|bitrev|neighbor|all] [--quick] \
 //!       [--engine dense|event|sharded] [--workers N] \
 //!       [--routing-tables flat|dyn|algorithmic] [--telemetry[=WINDOW]] \
-//!       [--opt] [--sizes N,M,...]`
+//!       [--opt] [--sizes N,M,...] [--json] [--phase-timing]`
 //!
 //! `--workers N` selects the sharded parallel engine with `N` shards
 //! (0 = one per rayon worker); it is bit-identical to `--engine event`
@@ -56,14 +56,11 @@
 //! same diagnostic as the `DSN_PHASE_TIMING=1` environment variable.
 
 use dsn_bench::opt::searched_placements;
-use dsn_bench::{
-    emit_telemetry, peak_rss_kb, reset_peak_rss, take_engine_arg, take_routing_tables_arg,
-    take_telemetry_arg, take_workers_arg, trio,
-};
+use dsn_bench::{emit_telemetry, peak_rss_kb, reset_peak_rss, trio, Args, SimArgs, UsageError};
 use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::parallel::Parallelism;
-use dsn_sim::sweep::{format_sweep, load_sweep_cached, paper_load_grid, SweepResult};
+use dsn_sim::sweep::{format_sweep, load_sweep, paper_load_grid, SweepResult};
 use dsn_sim::{
     AdaptiveEscape, DsnAlgorithmic, EngineKind, RoutingCache, RoutingTables, SimConfig, SimRouting,
     Simulator, TrafficPattern,
@@ -93,15 +90,14 @@ fn run_pattern(
     let key = AdaptiveEscape::key_for(cfg.vcs);
     let mut results = Vec::new();
     for (name, graph) in topos {
-        let g2 = graph.clone();
-        let vcs = cfg.vcs;
-        let sweep = load_sweep_cached(
+        let routing = cache.get_or_build(graph, &key, || {
+            Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs))
+        });
+        let sweep = load_sweep(
             name.clone(),
             graph.clone(),
             cfg,
-            cache,
-            &key,
-            move || Arc::new(AdaptiveEscape::new(g2, vcs)),
+            routing,
             pattern,
             loads,
             0x000F_1610,
@@ -420,48 +416,44 @@ fn run_telemetry_pass(
     }
 }
 
+const USAGE: &str = "fig10_simulation [uniform|bitrev|neighbor|all] [--quick] \
+     [--engine dense|event|sharded] [--workers N] [--routing-tables flat|dyn|algorithmic] \
+     [--telemetry[=WINDOW]] [--opt] [--sizes N,M,...] [--json] [--phase-timing]";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--phase-timing") {
-        args.retain(|a| a != "--phase-timing");
+    let mut args = Args::from_env();
+    let phase_timing = args.flag("phase-timing");
+    let bench_row = args.value::<usize>("bench-row", "a benchmark row index");
+    let flags = SimArgs::take(&mut args);
+    let quick = args.flag("quick");
+    let json = args.flag("json");
+    let opt = args.flag("opt");
+    let sizes_arg = args.list::<usize>("sizes", "a comma-separated switch-count list");
+    let which = args
+        .finish_or_exit(1, USAGE)
+        .pop()
+        .unwrap_or_else(|| "all".to_string());
+    let patterns: Vec<TrafficPattern> = match which.as_str() {
+        "uniform" => vec![TrafficPattern::Uniform],
+        "bitrev" => vec![TrafficPattern::BitReversal],
+        "neighbor" => vec![TrafficPattern::neighboring_paper()],
+        "all" => vec![
+            TrafficPattern::Uniform,
+            TrafficPattern::BitReversal,
+            TrafficPattern::neighboring_paper(),
+        ],
+        other => UsageError(format!(
+            "unknown pattern `{other}` (expected uniform | bitrev | neighbor | all)"
+        ))
+        .exit(USAGE),
+    };
+    if phase_timing {
         // Safe: single-threaded startup, before any sim work begins. The
         // variable also propagates into `--bench-row` children.
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
-    let bench_row = args.iter().position(|a| a == "--bench-row").map(|pos| {
-        args.remove(pos);
-        args.remove(pos).parse::<usize>().expect("--bench-row N")
-    });
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = EngineKind::Sharded;
-        workers = w;
-    }
-    let routing_tables = take_routing_tables_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let opt = args.iter().any(|a| a == "--opt");
-    let sizes_arg = args.iter().position(|a| a == "--sizes").map(|pos| {
-        args.remove(pos);
-        let list = args.remove(pos);
-        list.split(',')
-            .map(|s| s.trim().parse::<usize>().expect("--sizes N,M,..."))
-            .collect::<Vec<usize>>()
-    });
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
 
-    let mut cfg = SimConfig {
-        engine,
-        workers,
-        routing_tables,
-        ..SimConfig::default()
-    };
+    let mut cfg = flags.apply(SimConfig::default());
     let loads = if quick || json {
         cfg.warmup_cycles = 5_000;
         cfg.measure_cycles = 15_000;
@@ -481,14 +473,16 @@ fn main() {
     // JSON object to stdout and exit.
     if let Some(i) = bench_row {
         let rows = bench_rows(&sizes);
-        let row = rows.get(i).expect("--bench-row index out of range");
+        let row = rows.get(i).unwrap_or_else(|| {
+            UsageError(format!("--bench-row {i} is past the {} rows", rows.len())).exit(USAGE)
+        });
         println!("{}", run_bench_row(&cfg, row));
         return;
     }
 
     if json {
         emit_bench_json(&cfg, &sizes);
-        if let Some(window) = telemetry {
+        if let Some(window) = flags.telemetry {
             let topos = build_topos(64);
             let cache = Arc::new(RoutingCache::new());
             run_telemetry_pass(&cfg, window, &topos, &cache);
@@ -516,21 +510,6 @@ fn main() {
     }
     let cache = Arc::new(RoutingCache::new());
 
-    let patterns: Vec<TrafficPattern> = match which {
-        "uniform" => vec![TrafficPattern::Uniform],
-        "bitrev" => vec![TrafficPattern::BitReversal],
-        "neighbor" => vec![TrafficPattern::neighboring_paper()],
-        "all" => vec![
-            TrafficPattern::Uniform,
-            TrafficPattern::BitReversal,
-            TrafficPattern::neighboring_paper(),
-        ],
-        other => {
-            eprintln!("unknown pattern `{other}` (expected uniform | bitrev | neighbor | all)");
-            std::process::exit(2);
-        }
-    };
-
     println!(
         "# engine: {} / routing tables: {}",
         cfg.engine.name(),
@@ -556,7 +535,7 @@ fn main() {
         cache.misses(),
         cache.hits()
     );
-    if let Some(window) = telemetry {
+    if let Some(window) = flags.telemetry {
         run_telemetry_pass(&cfg, window, &topos, &cache);
     }
 }

@@ -5,12 +5,13 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin fig8_aspl [--threads N | --serial]`
 
-use dsn_bench::{block_header, paper_sizes, trio};
-use dsn_core::parallel::Parallelism;
+use dsn_bench::{block_header, paper_sizes, trio, Args};
 use dsn_metrics::aspl_with;
 
 fn main() {
-    let (par, _rest) = Parallelism::from_args(std::env::args().skip(1));
+    let mut args = Args::from_env();
+    let par = args.parallelism();
+    args.finish_or_exit(0, "fig8_aspl [--threads N | --serial]");
     par.install();
     println!("Figure 8: average shortest path length vs network size (lower is better)");
     println!("# parallelism: {par}");

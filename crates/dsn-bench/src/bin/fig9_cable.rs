@@ -20,6 +20,7 @@ fn avg_cable(spec: &TopologySpec) -> f64 {
 }
 
 fn main() {
+    dsn_bench::Args::from_env().finish_or_exit(0, "fig9_cable");
     println!("Figure 9: average cable length vs network size (lower is better)");
     print!(
         "{}",

@@ -4,9 +4,9 @@
 //! arrivals), synchronized incast waves, and a recursive-doubling
 //! allreduce — fault-free and with links flapping mid-run.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin flow_suite \
+//! Run: `cargo run --release -p dsn-bench --bin flow_suite -- \
 //!       [--quick] [--engine dense|event|sharded] [--workers N] \
-//!       [--routing-tables flat|dyn] [--sizes 64,256] [--flaps N] \
+//!       [--routing-tables flat|dyn|algorithmic] [--sizes 64,256] [--flaps N] \
 //!       [--json] [--telemetry[=WINDOW]]`
 //!
 //! (Flap rows always use the single-thread event path — fault machinery
@@ -19,90 +19,57 @@
 //! `"fct"` section; exports go to `telemetry_flows_dsn.{json,csv}`.
 
 use dsn_bench::flows::{flow_config, run_suite, FlowReport, FlowRow, FlowWorkloadKind, FLOW_SEED};
-use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
-};
+use dsn_bench::{emit_telemetry, trio, Args, SimArgs};
 use dsn_sim::{AdaptiveEscape, Simulator, TelemetryConfig};
 use std::sync::Arc;
 
+const USAGE: &str = "flow_suite [--quick] [--engine dense|event|sharded] [--workers N] \
+     [--routing-tables flat|dyn|algorithmic] [--sizes 64,256] [--flaps N] [--json] \
+     [--telemetry[=WINDOW]]";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
-    let routing_tables = take_routing_tables_arg(&mut args);
-    let telemetry = take_telemetry_arg(&mut args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let sizes: Vec<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--sizes="))
-        .or_else(|| {
-            args.iter()
-                .position(|a| a == "--sizes")
-                .and_then(|i| args.get(i + 1))
-                .map(|s| s.as_str())
-        })
-        .map(|v| {
-            v.split(',')
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("--sizes needs a comma-separated switch-count list");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
-    let flaps: usize = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--flaps="))
-        .or_else(|| {
-            args.iter()
-                .position(|a| a == "--flaps")
-                .and_then(|i| args.get(i + 1))
-                .map(|s| s.as_str())
-        })
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--flaps needs a flap count");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(3);
+    let mut args = Args::from_env();
+    let flags = SimArgs::take(&mut args);
+    let quick = args.flag("quick");
+    let json = args.flag("json");
+    let sizes = args.list::<usize>("sizes", "a comma-separated switch-count list");
+    let flaps = args.value::<usize>("flaps", "a flap count").unwrap_or(3);
+    args.finish_or_exit(0, USAGE);
+    let sizes = sizes.unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
 
     let mut rows: Vec<FlowRow> = Vec::new();
     for &n in &sizes {
         rows.extend(run_suite(
-            engine,
-            workers,
-            routing_tables,
+            flags.engine,
+            flags.workers,
+            flags.routing_tables.unwrap_or_default(),
             &trio(n),
             n,
             flaps,
             quick,
         ));
     }
-    let report = FlowReport { engine, rows };
+    let report = FlowReport {
+        engine: flags.engine,
+        rows,
+    };
     print_report(&report);
     if json {
         let path = "BENCH_flows.json";
         std::fs::write(path, report.to_json()).expect("write JSON report");
         println!("\n# wrote {path}");
     }
-    if let Some(window) = telemetry {
+    if let Some(window) = flags.telemetry {
         // Instrumented web-search run on DSN at the first size.
         let n = sizes[0];
         let spec = &trio(n)[0];
         let built = spec.build().expect("topology");
         let g = Arc::new(built.graph);
-        let mut cfg = flow_config(engine, FlowWorkloadKind::Websearch, quick);
-        cfg.workers = workers;
-        cfg.routing_tables = routing_tables;
+        let cfg = flags.apply(flow_config(
+            flags.engine,
+            FlowWorkloadKind::Websearch,
+            quick,
+        ));
         let hosts = n * cfg.hosts_per_switch;
         let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
         let (stats, tel) = Simulator::with_workload(

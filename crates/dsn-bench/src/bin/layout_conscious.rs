@@ -6,19 +6,22 @@
 //! while DSN gets short cables *and* low ASPL by constructing the long
 //! links deterministically.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin layout_conscious [n]`
+//! Run: `cargo run --release -p dsn-bench --bin layout_conscious -- [n]`
 
-use dsn_bench::RANDOM_SEED;
+use dsn_bench::{Args, UsageError, RANDOM_SEED};
 use dsn_core::dln::{DlnRandom, DlnRandomCapped};
 use dsn_core::dsn::Dsn;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
 use dsn_metrics::path_stats;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024);
+    let usage = "layout_conscious [n]";
+    let n: usize = match Args::from_env().finish_or_exit(1, usage).pop() {
+        None => 1024,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            UsageError(format!("n must be a switch count, got `{v}`")).exit(usage)
+        }),
+    };
     let p = dsn_core::util::ceil_log2(n);
     let model = CableModel::default();
     let placement = LinearPlacement::new(n, model.switches_per_cabinet);

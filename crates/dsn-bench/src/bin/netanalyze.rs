@@ -12,26 +12,20 @@
 //! `kleinberg:<side>:<q>[:<seed>]`, `hypercube:<dim>`, `ccc:<dim>`,
 //! `debruijn:<base>:<dim>`.
 
+use dsn_bench::{Args, UsageError};
 use dsn_core::export::to_dot;
 use dsn_core::topology::TopologySpec;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
 use dsn_metrics::{edge_connectivity, estimate_bisection, TopologyReport};
 
+const USAGE: &str = "netanalyze [--dot FILE] <spec> [<spec> ...]   (spec grammar in the source)";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: netanalyze [--dot FILE] <spec> [<spec> ...]   (see --help in source)");
-        std::process::exit(2);
-    }
-    let mut dot_path: Option<String> = None;
-    let mut specs: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--dot" {
-            dot_path = it.next();
-        } else {
-            specs.push(a);
-        }
+    let mut args = Args::from_env();
+    let dot_path = args.value::<String>("dot", "an output file");
+    let specs = args.finish_or_exit(usize::MAX, USAGE);
+    if specs.is_empty() {
+        UsageError("no topology spec given".into()).exit(USAGE);
     }
 
     println!(

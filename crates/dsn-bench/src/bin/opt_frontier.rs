@@ -9,49 +9,34 @@
 //! held to DSN's cable bill) at each size, then marks Pareto-frontier
 //! rows over (ASPL ↓, total cable ↓, saturation ↑).
 //!
-//! Run: `cargo run --release -p dsn-bench --bin opt_frontier \
-//!       [--quick] [--sat] [--sizes 64,256,1020] [--json] \
+//! Run: `cargo run --release -p dsn-bench --bin opt_frontier -- \
+//!       [--quick] [--sat | --no-sat] [--sizes 64,256,1020] [--json] \
 //!       [--serial | --threads N]`
 //!
 //! `--quick` shortens searches and simulation horizons (CI smoke) and
 //! skips saturation unless `--sat` is given; the full run probes
-//! saturation by default. `--json` writes `BENCH_opt.json` (schema
-//! pinned by `tests/opt_schema.rs`). The binary exits non-zero if the
-//! frontier comes out empty or the DSN baseline row is missing — the CI
-//! smoke relies on that.
+//! saturation unless `--no-sat` is given. `--json` writes
+//! `BENCH_opt.json` (schema pinned by `tests/opt_schema.rs`). The binary
+//! exits non-zero if the frontier comes out empty or the DSN baseline row
+//! is missing — the CI smoke relies on that.
 
 use dsn_bench::opt::{run_frontier, FrontierConfig, OptRow};
-use dsn_core::Parallelism;
+use dsn_bench::Args;
 
 fn main() {
-    let (par, rest) = Parallelism::from_args(std::env::args().skip(1));
-    let quick = rest.iter().any(|a| a == "--quick");
-    let json = rest.iter().any(|a| a == "--json");
-    let sat = if quick {
-        rest.iter().any(|a| a == "--sat")
-    } else {
-        !rest.iter().any(|a| a == "--no-sat")
-    };
-    let sizes: Vec<usize> = rest
-        .iter()
-        .find_map(|a| a.strip_prefix("--sizes="))
-        .or_else(|| {
-            rest.iter()
-                .position(|a| a == "--sizes")
-                .and_then(|i| rest.get(i + 1))
-                .map(|s| s.as_str())
-        })
-        .map(|v| {
-            v.split(',')
-                .map(|t| {
-                    t.parse().unwrap_or_else(|_| {
-                        eprintln!("--sizes needs a comma-separated switch-count list");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
+    let mut args = Args::from_env();
+    let par = args.parallelism();
+    let quick = args.flag("quick");
+    let json = args.flag("json");
+    let (with_sat, no_sat) = (args.flag("sat"), args.flag("no-sat"));
+    let sizes = args.list::<usize>("sizes", "a comma-separated switch-count list");
+    args.finish_or_exit(
+        0,
+        "opt_frontier [--quick] [--sat | --no-sat] [--sizes 64,256,1020] [--json] \
+         [--serial | --threads N]",
+    );
+    let sat = if quick { with_sat } else { !no_sat };
+    let sizes = sizes.unwrap_or_else(|| if quick { vec![64] } else { vec![64, 256] });
 
     let report = run_frontier(&FrontierConfig {
         sizes: sizes.clone(),

@@ -6,10 +6,10 @@
 //! search and reports the actual saturation point plus hotspot-channel
 //! utilization per topology and traffic pattern.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin saturation_search \
+//! Run: `cargo run --release -p dsn-bench --bin saturation_search -- \
 //!       [--quick] [--threads N | --serial] \
 //!       [--engine dense|event|sharded] [--workers N] \
-//!       [--routing-tables flat|dyn] [--telemetry[=WINDOW]] \
+//!       [--routing-tables flat|dyn|algorithmic] [--telemetry[=WINDOW]] \
 //!       [--phase-timing]`
 //!
 //! `--phase-timing` turns on the engine's per-phase wall-clock breakdown
@@ -21,39 +21,29 @@
 //! vs credit-stall decomposition and the hotspot links on the heatmap —
 //! plus `telemetry_sat_<topology>_<pattern>.{json,csv}` exports.
 
-use dsn_bench::{
-    emit_telemetry, take_engine_arg, take_routing_tables_arg, take_telemetry_arg, take_workers_arg,
-    trio,
-};
+use dsn_bench::{emit_telemetry, trio, Args, SimArgs};
 use dsn_core::graph::Graph;
-use dsn_core::parallel::Parallelism;
-use dsn_sim::sweep::find_saturation_cached;
+use dsn_sim::sweep::find_saturation;
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, TrafficPattern};
 use std::sync::Arc;
 
+const USAGE: &str = "saturation_search [--quick] [--threads N | --serial] \
+     [--engine dense|event|sharded] [--workers N] [--routing-tables flat|dyn|algorithmic] \
+     [--telemetry[=WINDOW]] [--phase-timing]";
+
 fn main() {
-    let (par, mut rest) = Parallelism::from_args(std::env::args().skip(1));
+    let mut args = Args::from_env();
+    let par = args.parallelism();
+    let phase_timing = args.flag("phase-timing");
+    let flags = SimArgs::take(&mut args);
+    let quick = args.flag("quick");
+    args.finish_or_exit(0, USAGE);
     par.install();
-    if rest.iter().any(|a| a == "--phase-timing") {
-        rest.retain(|a| a != "--phase-timing");
+    if phase_timing {
         // Safe: single-threaded startup, before any sim work begins.
         std::env::set_var("DSN_PHASE_TIMING", "1");
     }
-    let mut engine = take_engine_arg(&mut rest);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut rest) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
-    }
-    let routing_tables = take_routing_tables_arg(&mut rest);
-    let telemetry = take_telemetry_arg(&mut rest);
-    let quick = rest.iter().any(|a| a == "--quick");
-    let mut cfg = SimConfig {
-        engine,
-        workers,
-        routing_tables,
-        ..SimConfig::default()
-    };
+    let mut cfg = flags.apply(SimConfig::default());
     if quick {
         cfg.warmup_cycles = 3_000;
         cfg.measure_cycles = 8_000;
@@ -90,16 +80,15 @@ fn main() {
         TrafficPattern::neighboring_paper(),
     ] {
         for (name, graph) in &topos {
-            let vcs = cfg.vcs;
-            let g2 = graph.clone();
-            let make =
-                move || -> Arc<dyn dsn_sim::SimRouting> { Arc::new(AdaptiveEscape::new(g2, vcs)) };
-            let sat = find_saturation_cached(
+            let routing = || {
+                cache.get_or_build(graph, &key, || {
+                    Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs))
+                })
+            };
+            let sat = find_saturation(
                 graph.clone(),
                 &cfg,
-                &cache,
-                &key,
-                make,
+                routing(),
                 &pattern,
                 2.0,
                 40.0,
@@ -110,19 +99,16 @@ fn main() {
             // Re-run near saturation to report channel utilization (and,
             // with --telemetry, where the cycles go at that load). The
             // routing is a guaranteed cache hit by now.
-            let g2 = graph.clone();
-            let routing =
-                cache.get_or_build(graph, &key, move || Arc::new(AdaptiveEscape::new(g2, vcs)));
             let rate = cfg.packets_per_cycle_for_gbps(sat * 0.9);
             let mut sim = Simulator::new(
                 graph.clone(),
                 cfg.clone(),
-                routing,
+                routing(),
                 pattern.clone(),
                 rate,
                 0x5A7,
             );
-            if let Some(window) = telemetry {
+            if let Some(window) = flags.telemetry {
                 sim = sim.with_telemetry(cfg.standard_telemetry(window));
             }
             let (stats, report) = sim.run_with_telemetry();

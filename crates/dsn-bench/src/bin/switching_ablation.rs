@@ -4,35 +4,31 @@
 //! gets away with tiny buffers but lets blocked packets straddle routers,
 //! so it saturates earlier — this quantifies why the paper picked VCT.
 //!
-//! Run: `cargo run --release -p dsn-bench --bin switching_ablation \
+//! Run: `cargo run --release -p dsn-bench --bin switching_ablation -- \
 //!       [--quick] [--engine dense|event|sharded] [--workers N] \
-//!       [--routing-tables flat|dyn]`
+//!       [--routing-tables flat|dyn|algorithmic]`
 
-use dsn_bench::{take_engine_arg, take_routing_tables_arg, take_workers_arg};
+use dsn_bench::{Args, SimArgs};
 use dsn_core::dsn::Dsn;
 use dsn_core::parallel::Parallelism;
-use dsn_sim::sweep::find_saturation_cached;
+use dsn_sim::sweep::find_saturation;
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, Simulator, Switching, TrafficPattern};
 use std::sync::Arc;
 
+const USAGE: &str = "switching_ablation [--quick] [--engine dense|event|sharded] [--workers N] \
+     [--routing-tables flat|dyn|algorithmic]";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = take_engine_arg(&mut args);
-    let mut workers = 0;
-    if let Some(w) = take_workers_arg(&mut args) {
-        engine = dsn_sim::EngineKind::Sharded;
-        workers = w;
+    let mut args = Args::from_env();
+    let flags = SimArgs::take(&mut args);
+    let quick = args.flag("quick");
+    if flags.telemetry.is_some() {
+        args.fail("--telemetry is not supported here");
     }
-    let routing_tables = take_routing_tables_arg(&mut args);
-    let quick = args.iter().any(|a| a == "--quick");
+    args.finish_or_exit(0, USAGE);
     let dsn = Dsn::new(64, 5).expect("dsn");
     let graph = Arc::new(dsn.into_graph());
-    let mut base = SimConfig {
-        engine,
-        workers,
-        routing_tables,
-        ..SimConfig::default()
-    };
+    let mut base = flags.apply(SimConfig::default());
     if quick {
         base.warmup_cycles = 3_000;
         base.measure_cycles = 8_000;
@@ -70,27 +66,25 @@ fn main() {
             buffer_flits: buffer,
             ..base.clone()
         };
-        let vcs = cfg.vcs;
-        let g2 = graph.clone();
-        let routing =
-            cache.get_or_build(&graph, &key, move || Arc::new(AdaptiveEscape::new(g2, vcs)));
+        let routing = || {
+            cache.get_or_build(&graph, &key, || {
+                Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs))
+            })
+        };
         let rate = cfg.packets_per_cycle_for_gbps(1.0);
         let low = Simulator::new(
             graph.clone(),
             cfg.clone(),
-            routing,
+            routing(),
             TrafficPattern::Uniform,
             rate,
             0x5317,
         )
         .run();
-        let g2 = graph.clone();
-        let sat = find_saturation_cached(
+        let sat = find_saturation(
             graph.clone(),
             &cfg,
-            &cache,
-            &key,
-            move || Arc::new(AdaptiveEscape::new(g2, vcs)),
+            routing(),
             &TrafficPattern::Uniform,
             2.0,
             40.0,

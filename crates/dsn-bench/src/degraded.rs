@@ -41,12 +41,10 @@ impl DegradedMode {
     }
 }
 
-/// The one `SimConfig` built from CLI flags and reused for every trial.
-pub fn base_config(engine: EngineKind, quick: bool) -> SimConfig {
-    let mut cfg = SimConfig {
-        engine,
-        ..SimConfig::default()
-    };
+/// The one `SimConfig` reused for every trial: the quick or full
+/// horizons, before the command line's simulator flags are applied.
+pub fn base_config(quick: bool) -> SimConfig {
+    let mut cfg = SimConfig::default();
     if quick {
         cfg.warmup_cycles = 3_000;
         cfg.measure_cycles = 8_000;

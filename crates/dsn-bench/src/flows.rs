@@ -18,8 +18,12 @@ pub const SCHEMA: &str = "dsn-bench/flows/v1";
 /// Seed for every flow-suite trial (flow arrivals, sizes, destinations).
 pub const FLOW_SEED: u64 = 0xF10E;
 
-/// Flow-arrival probability per host per cycle for the web-search rows
-/// (~0.3 offered load at the paper's packet size and line rate).
+/// Flow-arrival probability per host per cycle for the web-search rows.
+/// The offered load is `WEBSEARCH_RATE × FlowSizeDist::websearch().mean()
+/// × 8 / cycle_ns`: a mean flow of 472,475 B at the default 2.667 ns cycle
+/// gives ≈ 28 Gbit/s/host, 0.3 of the 96 Gbit/s host link. That is well
+/// past DSN-7-256's saturation by design (it saturates below 11 Gbit/s/host
+/// under uniform packets), so the flow backlogs grow.
 pub const WEBSEARCH_RATE: f64 = 2.0e-5;
 
 /// The three flow-level workload classes of the suite.
@@ -318,5 +322,22 @@ impl FlowReport {
         }
         s.push_str("  ]\n}\n");
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn websearch_rate_offers_28_gbps_per_host() {
+        let mean_bytes = FlowSizeDist::websearch().mean();
+        assert!((mean_bytes - 472_475.0).abs() < 1e-6, "{mean_bytes}");
+        let cfg = SimConfig::default();
+        let offered_gbps = WEBSEARCH_RATE * mean_bytes * 8.0 / cfg.cycle_ns;
+        assert!((offered_gbps - 28.35).abs() < 0.01, "{offered_gbps}");
+        let link_gbps = cfg.flit_bits as f64 / cfg.cycle_ns;
+        assert!((link_gbps - 96.0).abs() < 1e-9);
+        assert!((offered_gbps / link_gbps - 0.3).abs() < 0.01);
     }
 }

@@ -11,6 +11,13 @@
 //! * `related_work` — Section III diameter-and-degree table
 //!
 //! plus Criterion micro-benchmarks under `benches/`.
+//!
+//! Every binary parses its command line with [`Args`] (and the shared
+//! simulator flags with [`SimArgs`]): a flag that takes a value accepts
+//! `--flag V` and `--flag=V`, the last occurrence wins, and a missing value
+//! or an unknown flag exits with status 2 and the binary's usage line.
+//! The one optional value, the `--telemetry[=WINDOW]` window, is given
+//! only in the `=` form.
 
 #![warn(missing_docs)]
 
@@ -18,7 +25,9 @@ pub mod degraded;
 pub mod flows;
 pub mod opt;
 
+use dsn_core::parallel::Parallelism;
 use dsn_core::topology::TopologySpec;
+use dsn_sim::{EngineKind, RoutingTables, SimConfig};
 
 /// The network sizes of Figures 7–9: `log2 N = 5 .. 11`.
 pub fn paper_sizes() -> Vec<usize> {
@@ -44,21 +53,39 @@ pub fn block_header(title: &str, columns: &[&str]) -> String {
     s
 }
 
-/// Extract the last `--NAME VALUE` / `--NAME=VALUE` occurrence from
-/// `args`, removing every consumed token. A trailing `--NAME` with no
-/// value following is an error (previously it was silently swallowed),
-/// reported through the `usage` message and `exit(2)` like every other
-/// malformed flag.
-fn take_value_arg(args: &mut Vec<String>, name: &str, usage: &str) -> Option<String> {
+/// A malformed command line: a flag without a valid value, a flag the
+/// binary does not know, or a stray argument. Binaries report it with
+/// their usage text and exit status 2 ([`Args::finish_or_exit`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageError(pub String);
+
+impl UsageError {
+    /// Print this error and `usage` to stderr and end the process with
+    /// exit status 2.
+    pub fn exit(&self, usage: &str) -> ! {
+        eprintln!("{self}\nusage: {usage}");
+        std::process::exit(2)
+    }
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// Remove every `--NAME VALUE` / `--NAME=VALUE` occurrence from `args` and
+/// return the last value. A `--NAME` with no value after it (end of the
+/// line, or another `--flag` next) is an error.
+fn take_value_arg(args: &mut Vec<String>, name: &str) -> Result<Option<String>, UsageError> {
     let flag = format!("--{name}");
     let eq_prefix = format!("--{name}=");
     let mut value = None;
     let mut i = 0;
     while i < args.len() {
         if args[i] == flag {
-            if i + 1 >= args.len() {
-                eprintln!("{flag} needs a value (expected {usage})");
-                std::process::exit(2);
+            if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                return Err(UsageError(format!("{flag} needs a value")));
             }
             value = Some(args.remove(i + 1));
             args.remove(i);
@@ -69,83 +96,170 @@ fn take_value_arg(args: &mut Vec<String>, name: &str, usage: &str) -> Option<Str
             i += 1;
         }
     }
-    value
+    Ok(value)
 }
 
-/// Extract `--engine dense|event|sharded` (or `--engine=...`) from `args`,
-/// removing the consumed tokens. Defaults to the event engine; exits with
-/// a usage message on an unknown or missing value so every simulation
-/// binary rejects typos the same way.
-pub fn take_engine_arg(args: &mut Vec<String>) -> dsn_sim::EngineKind {
-    const USAGE: &str = "dense | event | sharded";
-    match take_value_arg(args, "engine", USAGE) {
-        None => dsn_sim::EngineKind::default(),
-        Some(v) => dsn_sim::EngineKind::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown engine `{v}` (expected {USAGE})");
-            std::process::exit(2);
-        }),
+/// The command line of one binary, consumed flag by flag. The first error
+/// is kept and reported by [`Args::finish`], so a binary takes all its
+/// flags and then checks once, before it does any work.
+#[derive(Debug, Clone)]
+pub struct Args {
+    rest: Vec<String>,
+    error: Option<UsageError>,
+}
+
+impl Args {
+    /// Arguments from a list (the program name excluded).
+    pub fn new(args: impl IntoIterator<Item = String>) -> Self {
+        Args {
+            rest: args.into_iter().collect(),
+            error: None,
+        }
     }
-}
 
-/// Extract `--routing-tables flat|dyn|algorithmic` (or
-/// `--routing-tables=...`) from `args`, removing the consumed tokens.
-/// Defaults to flat tables; exits with a usage message on an unknown or
-/// missing value so every simulation binary rejects typos the same way.
-pub fn take_routing_tables_arg(args: &mut Vec<String>) -> dsn_sim::RoutingTables {
-    const USAGE: &str = "flat | dyn | algorithmic";
-    match take_value_arg(args, "routing-tables", USAGE) {
-        None => dsn_sim::RoutingTables::default(),
-        Some(v) => dsn_sim::RoutingTables::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown routing tables `{v}` (expected {USAGE})");
-            std::process::exit(2);
-        }),
+    /// This process's arguments.
+    pub fn from_env() -> Self {
+        Self::new(std::env::args().skip(1))
     }
-}
 
-/// Extract `--workers N` (or `--workers=N`) from `args`, removing the
-/// consumed tokens. Returns the shard count for the sharded engine
-/// (`0` = one shard per rayon worker), or `None` when the flag is absent.
-/// Exits with a usage message on a malformed or missing value so every
-/// simulation binary rejects typos the same way.
-pub fn take_workers_arg(args: &mut Vec<String>) -> Option<usize> {
-    const USAGE: &str = "a shard count (0 = one per rayon worker)";
-    take_value_arg(args, "workers", USAGE).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--workers needs {USAGE}, got `{v}`");
-            std::process::exit(2);
+    /// Record a usage error for [`Args::finish`] to report (the first
+    /// one recorded wins).
+    pub fn fail(&mut self, msg: impl Into<String>) {
+        self.error.get_or_insert(UsageError(msg.into()));
+    }
+
+    /// Remove every bare `--NAME`; true when there was one.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let flag = format!("--{name}");
+        let before = self.rest.len();
+        self.rest.retain(|a| *a != flag);
+        self.rest.len() != before
+    }
+
+    /// The last value of `--NAME V` / `--NAME=V`, converted by `parse`;
+    /// `expected` describes a valid value for the error message.
+    pub fn value_with<T>(
+        &mut self,
+        name: &str,
+        expected: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let raw = match take_value_arg(&mut self.rest, name) {
+            Ok(raw) => raw?,
+            Err(e) => {
+                self.fail(format!("{e} ({expected})"));
+                return None;
+            }
+        };
+        let value = parse(&raw);
+        if value.is_none() {
+            self.fail(format!("--{name} needs {expected}, got `{raw}`"));
+        }
+        value
+    }
+
+    /// [`Args::value_with`] for any type that implements `FromStr`.
+    pub fn value<T: std::str::FromStr>(&mut self, name: &str, expected: &str) -> Option<T> {
+        self.value_with(name, expected, |v| v.parse().ok())
+    }
+
+    /// A comma-separated list value, `--NAME A,B,...`.
+    pub fn list<T: std::str::FromStr>(&mut self, name: &str, expected: &str) -> Option<Vec<T>> {
+        self.value_with(name, expected, |v| {
+            v.split(',').map(|t| t.trim().parse().ok()).collect()
         })
-    })
+    }
+
+    /// `--threads N` / `--serial`, parsed by [`Parallelism::from_args`].
+    pub fn parallelism(&mut self) -> Parallelism {
+        let (par, rest) = Parallelism::from_args(std::mem::take(&mut self.rest));
+        self.rest = rest;
+        if self.rest.iter().any(|a| a.starts_with("--threads")) {
+            self.fail("--threads needs a worker count (0 = automatic)");
+        }
+        par
+    }
+
+    /// Check the command line once every flag is taken: no error so far,
+    /// no unknown `--flag`, and at most `positionals` other arguments,
+    /// which are returned in order.
+    pub fn finish(self, positionals: usize) -> Result<Vec<String>, UsageError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        if let Some(flag) = self.rest.iter().find(|a| a.starts_with("--")) {
+            return Err(UsageError(format!("unknown flag `{flag}`")));
+        }
+        if let Some(extra) = self.rest.get(positionals) {
+            return Err(UsageError(format!("unexpected argument `{extra}`")));
+        }
+        Ok(self.rest)
+    }
+
+    /// [`Args::finish`], ending the process with `usage` and exit status 2
+    /// on an error.
+    pub fn finish_or_exit(self, positionals: usize, usage: &str) -> Vec<String> {
+        self.finish(positionals).unwrap_or_else(|e| e.exit(usage))
+    }
 }
 
 /// Window width (cycles) used when `--telemetry` is given with no value.
 pub const DEFAULT_TELEMETRY_WINDOW: u64 = 1_000;
 
-/// Extract `--telemetry` (default window) or `--telemetry=WINDOW` from
-/// `args`, removing the consumed tokens. Returns the window width in
-/// cycles, or `None` when the flag is absent (telemetry off — the
-/// simulator hooks compile to no-ops). Exits with a usage message on a
-/// malformed window so every simulation binary rejects typos the same way.
-pub fn take_telemetry_arg(args: &mut Vec<String>) -> Option<u64> {
-    let mut window = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--telemetry" {
-            args.remove(i);
-            window = Some(DEFAULT_TELEMETRY_WINDOW);
-        } else if let Some(v) = args[i].strip_prefix("--telemetry=") {
-            match v.parse::<u64>() {
-                Ok(w) if w >= 1 => window = Some(w),
-                _ => {
-                    eprintln!("--telemetry needs a window of >= 1 cycles, got `{v}`");
-                    std::process::exit(2);
-                }
-            }
-            args.remove(i);
-        } else {
-            i += 1;
+/// The simulator flags every simulation binary shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimArgs {
+    /// `--engine dense|event|sharded` (default: event).
+    pub engine: EngineKind,
+    /// `--workers N`: shard count for the sharded engine (`0` = one shard
+    /// per rayon worker). Giving it selects the sharded engine.
+    pub workers: usize,
+    /// `--routing-tables flat|dyn|algorithmic`; `None` = not given (the
+    /// config's own mode, flat by default).
+    pub routing_tables: Option<RoutingTables>,
+    /// `--telemetry` (window [`DEFAULT_TELEMETRY_WINDOW`]) or
+    /// `--telemetry=W`: telemetry window in cycles; `None` = off.
+    pub telemetry: Option<u64>,
+}
+
+impl SimArgs {
+    /// Take the simulator flags from `args`.
+    pub fn take(args: &mut Args) -> Self {
+        let mut sim = SimArgs {
+            engine: args
+                .value_with("engine", "dense | event | sharded", EngineKind::parse)
+                .unwrap_or_default(),
+            routing_tables: args.value_with(
+                "routing-tables",
+                "flat | dyn | algorithmic",
+                RoutingTables::parse,
+            ),
+            ..SimArgs::default()
+        };
+        if let Some(w) = args.value("workers", "a shard count (0 = one per rayon worker)") {
+            sim.engine = EngineKind::Sharded;
+            sim.workers = w;
+        }
+        // The window is optional, so it only comes in the `=` form; a
+        // bare `--telemetry` means the default window.
+        let bare = args.flag("telemetry");
+        sim.telemetry = args
+            .value_with("telemetry", "a window of >= 1 cycles", |v| {
+                v.parse().ok().filter(|&w| w >= 1)
+            })
+            .or(bare.then_some(DEFAULT_TELEMETRY_WINDOW));
+        sim
+    }
+
+    /// `cfg` with this command line's engine, worker count and table mode.
+    pub fn apply(&self, cfg: SimConfig) -> SimConfig {
+        SimConfig {
+            engine: self.engine,
+            workers: self.workers,
+            routing_tables: self.routing_tables.unwrap_or(cfg.routing_tables),
+            ..cfg
         }
     }
-    window
 }
 
 /// Standard terminal + file rendering of a telemetry report: per-phase
@@ -246,78 +360,184 @@ mod tests {
         tokens.iter().map(|s| s.to_string()).collect()
     }
 
+    fn sim_args(tokens: &[&str]) -> (SimArgs, Args) {
+        let mut args = Args::new(argv(tokens));
+        let sim = SimArgs::take(&mut args);
+        (sim, args)
+    }
+
     #[test]
     fn engine_arg_defaults_and_parses_both_forms() {
-        let mut args = argv(&["--load", "1.0"]);
-        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Event);
-        assert_eq!(args, argv(&["--load", "1.0"]), "unrelated args untouched");
+        let (sim, args) = sim_args(&["--load", "1.0"]);
+        assert_eq!(sim, SimArgs::default());
+        assert_eq!(sim.engine, EngineKind::Event);
+        assert_eq!(
+            args.rest,
+            argv(&["--load", "1.0"]),
+            "unrelated args untouched"
+        );
 
-        let mut args = argv(&["--engine", "dense", "--load", "1.0"]);
-        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Dense);
-        assert_eq!(args, argv(&["--load", "1.0"]), "consumed tokens removed");
+        let (sim, args) = sim_args(&["--engine", "dense", "--load", "1.0"]);
+        assert_eq!(sim.engine, EngineKind::Dense);
+        assert_eq!(
+            args.rest,
+            argv(&["--load", "1.0"]),
+            "consumed tokens removed"
+        );
 
-        let mut args = argv(&["--engine=sharded"]);
-        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Sharded);
-        assert!(args.is_empty());
+        let (sim, args) = sim_args(&["--engine=sharded"]);
+        assert_eq!(sim.engine, EngineKind::Sharded);
+        assert_eq!(args.finish(0), Ok(vec![]));
+
+        let (_, args) = sim_args(&["--engine", "warp"]);
+        assert!(args
+            .finish(0)
+            .unwrap_err()
+            .0
+            .contains("dense | event | sharded"));
     }
 
     #[test]
     fn engine_arg_last_occurrence_wins() {
-        let mut args = argv(&["--engine=dense", "--engine", "sharded"]);
-        assert_eq!(take_engine_arg(&mut args), dsn_sim::EngineKind::Sharded);
-        assert!(args.is_empty());
+        let (sim, args) = sim_args(&["--engine=dense", "--engine", "sharded"]);
+        assert_eq!(sim.engine, EngineKind::Sharded);
+        assert!(args.rest.is_empty());
     }
 
     #[test]
     fn routing_tables_arg_defaults_and_parses() {
-        let mut args = argv(&[]);
+        let (sim, _) = sim_args(&[]);
+        assert_eq!(sim.routing_tables, None);
         assert_eq!(
-            take_routing_tables_arg(&mut args),
-            dsn_sim::RoutingTables::Flat
+            sim.apply(SimConfig::default()).routing_tables,
+            RoutingTables::Flat
         );
-        let mut args = argv(&["--routing-tables", "dyn", "-n", "64"]);
-        assert_eq!(
-            take_routing_tables_arg(&mut args),
-            dsn_sim::RoutingTables::Dyn
-        );
-        assert_eq!(args, argv(&["-n", "64"]));
-        let mut args = argv(&["--routing-tables=flat"]);
-        assert_eq!(
-            take_routing_tables_arg(&mut args),
-            dsn_sim::RoutingTables::Flat
-        );
-        assert!(args.is_empty());
+        let (sim, args) = sim_args(&["--routing-tables", "dyn", "-n", "64"]);
+        assert_eq!(sim.routing_tables, Some(RoutingTables::Dyn));
+        assert_eq!(args.rest, argv(&["-n", "64"]));
+        let (sim, args) = sim_args(&["--routing-tables=flat"]);
+        assert_eq!(sim.routing_tables, Some(RoutingTables::Flat));
+        assert!(args.rest.is_empty());
+
+        let cfg = sim_args(&["--routing-tables=dyn", "--workers=2"])
+            .0
+            .apply(SimConfig::default());
+        assert_eq!(cfg.routing_tables, RoutingTables::Dyn);
+        assert_eq!((cfg.engine, cfg.workers), (EngineKind::Sharded, 2));
     }
 
     #[test]
     fn workers_arg_absent_space_and_eq_forms() {
-        let mut args = argv(&["--load", "1.0"]);
-        assert_eq!(take_workers_arg(&mut args), None);
+        let (sim, _) = sim_args(&["--load", "1.0"]);
+        assert_eq!((sim.engine, sim.workers), (EngineKind::Event, 0));
 
-        let mut args = argv(&["--workers", "4", "--load", "1.0"]);
-        assert_eq!(take_workers_arg(&mut args), Some(4));
-        assert_eq!(args, argv(&["--load", "1.0"]));
+        let (sim, args) = sim_args(&["--workers", "4", "--load", "1.0"]);
+        assert_eq!((sim.engine, sim.workers), (EngineKind::Sharded, 4));
+        assert_eq!(args.rest, argv(&["--load", "1.0"]));
 
-        let mut args = argv(&["--workers=0"]);
-        assert_eq!(take_workers_arg(&mut args), Some(0));
-        assert!(args.is_empty());
+        let (sim, args) = sim_args(&["--engine", "dense", "--workers=0"]);
+        assert_eq!((sim.engine, sim.workers), (EngineKind::Sharded, 0));
+        assert!(args.rest.is_empty());
     }
 
     #[test]
     fn telemetry_arg_bare_and_windowed() {
-        let mut args = argv(&["--telemetry", "-n", "64"]);
+        let (sim, args) = sim_args(&["--telemetry", "-n", "64"]);
+        assert_eq!(sim.telemetry, Some(DEFAULT_TELEMETRY_WINDOW));
+        assert_eq!(args.rest, argv(&["-n", "64"]));
+
+        let (sim, args) = sim_args(&["--telemetry=250"]);
+        assert_eq!(sim.telemetry, Some(250));
+        assert!(args.rest.is_empty());
+
+        // The window is optional, so a following word is never taken as
+        // one: `--telemetry 250` is the default window and a stray `250`.
+        let (sim, args) = sim_args(&["--telemetry", "250"]);
+        assert_eq!(sim.telemetry, Some(DEFAULT_TELEMETRY_WINDOW));
+        assert_eq!(args.finish(0).unwrap_err().0, "unexpected argument `250`");
+
+        let (sim, _) = sim_args(&["--telemetry=250", "--telemetry=40"]);
+        assert_eq!(sim.telemetry, Some(40));
+        let (sim, _) = sim_args(&["--telemetry", "--telemetry=250"]);
+        assert_eq!(sim.telemetry, Some(250));
+
+        let (sim, _) = sim_args(&[]);
+        assert_eq!(sim.telemetry, None);
+
+        let (_, args) = sim_args(&["--telemetry=0"]);
+        assert!(args.finish(0).unwrap_err().0.contains(">= 1 cycles"));
+    }
+
+    #[test]
+    fn value_args_take_both_forms_and_the_last_occurrence() {
+        // `fig10_simulation --sizes=1024` once fell through to the full
+        // figure sweep: only the space form was matched.
+        let mut args = Args::new(argv(&["--quick", "--sizes=1024"]));
+        assert_eq!(args.list::<usize>("sizes", "N,M,..."), Some(vec![1024]));
+        assert!(args.flag("quick"));
+        assert_eq!(args.finish(0), Ok(vec![]));
+
+        let mut args = Args::new(argv(&["--sizes", "64, 256", "--sizes=1020", "all"]));
+        assert_eq!(args.list::<usize>("sizes", "N,M,..."), Some(vec![1020]));
+        assert_eq!(args.finish(1), Ok(argv(&["all"])));
+
+        let mut args = Args::new(argv(&["--faults", "2", "--faults=5"]));
+        assert_eq!(args.value::<usize>("faults", "a link count"), Some(5));
+        assert_eq!(args.value::<usize>("faults", "a link count"), None);
+        assert!(!args.flag("json"));
+        assert_eq!(args.finish(0), Ok(vec![]));
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_usage_errors() {
+        // A bare trailing `--sizes` / `--bench-row` once panicked on an
+        // out-of-range `Vec::remove`.
+        for (tokens, name) in [
+            (&["--sizes"][..], "sizes"),
+            (&["--sizes", "--json"][..], "sizes"),
+            (&["--bench-row"][..], "bench-row"),
+        ] {
+            let mut args = Args::new(argv(tokens));
+            assert_eq!(args.list::<usize>(name, "N,M,..."), None);
+            let err = args.finish(0).unwrap_err();
+            assert_eq!(err.0, format!("--{name} needs a value (N,M,...)"));
+        }
+        let mut args = Args::new(argv(&["--sizes=64,x"]));
+        assert_eq!(args.list::<usize>("sizes", "N,M,..."), None);
         assert_eq!(
-            take_telemetry_arg(&mut args),
-            Some(DEFAULT_TELEMETRY_WINDOW)
+            args.finish(0).unwrap_err().0,
+            "--sizes needs N,M,..., got `64,x`"
         );
-        assert_eq!(args, argv(&["-n", "64"]));
 
-        let mut args = argv(&["--telemetry=250"]);
-        assert_eq!(take_telemetry_arg(&mut args), Some(250));
-        assert!(args.is_empty());
+        let mut args = Args::new(argv(&["--threads"]));
+        args.parallelism();
+        assert!(args.finish(0).unwrap_err().0.starts_with("--threads needs"));
+        let mut args = Args::new(argv(&["--threads=2", "--quick"]));
+        assert_eq!(args.parallelism(), Parallelism::threads(2));
+        assert!(args.flag("quick"));
+        assert_eq!(args.finish(0), Ok(vec![]));
+    }
 
-        let mut args = argv(&[]);
-        assert_eq!(take_telemetry_arg(&mut args), None);
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_usage_errors() {
+        // `flow_suite --quik` once ran the full suite.
+        let mut args = Args::new(argv(&["--quik"]));
+        assert!(!args.flag("quick"));
+        assert_eq!(
+            args.finish(0).unwrap_err(),
+            UsageError("unknown flag `--quik`".into())
+        );
+        let args = Args::new(argv(&["--quick=yes"]));
+        assert!(args.finish(0).is_err());
+        let args = Args::new(argv(&["uniform", "bitrev"]));
+        assert_eq!(
+            args.finish(1).unwrap_err().0,
+            "unexpected argument `bitrev`"
+        );
+        // The first error is the one reported.
+        let mut args = Args::new(argv(&["--workers", "x", "--engine=warp"]));
+        SimArgs::take(&mut args);
+        assert!(args.finish(0).unwrap_err().0.starts_with("--engine needs"));
     }
 
     #[test]

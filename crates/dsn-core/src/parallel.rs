@@ -115,8 +115,8 @@ impl Parallelism {
     }
 
     /// Install this config as the global rayon worker count, so code that
-    /// calls the parameterless kernels (`routing_stats`, `path_stats`,
-    /// `load_sweep`, …) inherits it too.
+    /// calls the parameterless kernels (`routing_stats`, `path_stats`, …)
+    /// inherits it too.
     pub fn install(&self) {
         let n = if self.serial { 1 } else { self.threads };
         rayon::ThreadPoolBuilder::new()

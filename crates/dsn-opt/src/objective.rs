@@ -9,15 +9,15 @@
 //! "minimize ASPL subject to cable ≤ budget" via a steep penalty.
 //!
 //! Finalists get the expensive axis — saturation load — through
-//! [`SatProbe`], which drives `dsn_sim`'s cached saturation search with a
-//! shared [`RoutingCache`] so repeated probes of the same graph reuse the
-//! routing build.
+//! [`SatProbe`], which drives `dsn_sim`'s saturation search with routing
+//! from a shared [`RoutingCache`], so repeated probes of the same graph
+//! reuse the routing build.
 
 use dsn_core::graph::Graph;
 use dsn_core::Parallelism;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
 use dsn_metrics::apsp::path_stats_with;
-use dsn_sim::sweep::find_saturation_cached;
+use dsn_sim::sweep::find_saturation;
 use dsn_sim::{AdaptiveEscape, RoutingCache, SimConfig, TrafficPattern};
 use std::sync::Arc;
 
@@ -126,9 +126,9 @@ impl Objective {
     }
 }
 
-/// Saturation prober for finalist candidates: wraps
-/// [`find_saturation_cached`] with a shared routing cache and fixed
-/// search window, so every finalist is measured under identical terms.
+/// Saturation prober for finalist candidates: wraps [`find_saturation`]
+/// with a shared routing cache and fixed search window, so every finalist
+/// is measured under identical terms.
 pub struct SatProbe {
     /// Simulator configuration (engine, horizons, VCs).
     pub cfg: SimConfig,
@@ -152,13 +152,13 @@ impl SatProbe {
     pub fn saturation(&self, graph: Arc<Graph>, par: &Parallelism) -> f64 {
         let vcs = self.cfg.vcs;
         let key = AdaptiveEscape::key_for(vcs);
-        let g2 = graph.clone();
-        find_saturation_cached(
+        let routing = self.cache.get_or_build(&graph, &key, || {
+            Arc::new(AdaptiveEscape::new(graph.clone(), vcs))
+        });
+        find_saturation(
             graph,
             &self.cfg,
-            &self.cache,
-            &key,
-            move || Arc::new(AdaptiveEscape::new(g2, vcs)),
+            routing,
             &self.pattern,
             self.lo,
             self.hi,

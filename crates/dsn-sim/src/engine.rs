@@ -449,10 +449,9 @@ pub struct Simulator {
     /// stays in original channel-id order (observable: channels at one
     /// switch contend for shared input ports in ascending-id order), so
     /// the permutation is a pure memory relayout — bit-identical results.
-    /// Default is *switch-major* (channels stably sorted by source switch,
-    /// clustering each switch's out-channels that the allocation scan
-    /// touches together); `DSN_SOA_LAYOUT=channel` keeps the graph's
-    /// edge-major order for A/B timing.
+    /// The layout is *switch-major* (channels stably sorted by source
+    /// switch, clustering each switch's out-channels that the allocation
+    /// scan touches together).
     pub(crate) ch_slot: Vec<u32>,
     /// Per-channel source switch (denormalized from the graph for the
     /// wake-up dirty marks).
@@ -550,7 +549,7 @@ pub const ALGORITHMIC_AUTO_THRESHOLD: usize = 512;
 /// to the compiled table for everything else (so the mode is safe to set
 /// globally across a mixed-scheme sweep); `Flat` consults the auto
 /// threshold.
-fn select_flat(
+pub(crate) fn select_flat(
     mode: crate::config::RoutingTables,
     n: usize,
     routing: &dyn SimRouting,
@@ -741,25 +740,14 @@ impl Simulator {
         // Storage permutation for the per-channel/per-output-VC arrays.
         // The graph numbers channels edge-major (2e, 2e+1 = the two
         // directions of edge e), scattering a switch's out-channels; the
-        // default switch-major layout clusters them so the allocation
-        // scan's candidate probes share cache lines. `DSN_SOA_LAYOUT`
-        // selects the layout for A/B timing; results are identical either
-        // way (iteration order never changes).
-        let switch_major = !matches!(
-            std::env::var("DSN_SOA_LAYOUT").as_deref(),
-            Ok("channel") | Ok("edge")
-        );
+        // switch-major layout clusters them so the allocation scan's
+        // candidate probes share cache lines. Results are identical in
+        // any layout (iteration order never changes).
         let mut ch_slot = vec![0u32; channels];
-        if switch_major {
-            let mut order: Vec<u32> = (0..channels as u32).collect();
-            order.sort_by_key(|&c| ch_src[c as usize]);
-            for (slot, &c) in order.iter().enumerate() {
-                ch_slot[c as usize] = slot as u32;
-            }
-        } else {
-            for (c, s) in ch_slot.iter_mut().enumerate() {
-                *s = c as u32;
-            }
+        let mut order: Vec<u32> = (0..channels as u32).collect();
+        order.sort_by_key(|&c| ch_src[c as usize]);
+        for (slot, &c) in order.iter().enumerate() {
+            ch_slot[c as usize] = slot as u32;
         }
         let alloc_need = match cfg.switching {
             crate::config::Switching::VirtualCutThrough => cfg.packet_flits as u32,

@@ -15,7 +15,7 @@
 //! ([`TelemetryConfig`] / [`engine::Simulator::run_with_telemetry`], both
 //! from the `dsn-telemetry` crate), a whole-network stall watchdog that
 //! detects real routing deadlocks, per-channel utilization accounting,
-//! bisection saturation search ([`sweep::find_saturation`]), and the
+//! sectioned saturation search ([`sweep::find_saturation`]), and the
 //! paper's future-work routing ([`routing::MinimalAdaptiveDsn`]).
 //!
 //! ```no_run
@@ -65,9 +65,6 @@ pub use routing::{
     UpDownRouting,
 };
 pub use stats::{FlowClassStats, RunStats};
-pub use sweep::{
-    find_saturation, find_saturation_cached, find_saturation_with, load_sweep, load_sweep_cached,
-    load_sweep_with, paper_load_grid, SweepResult,
-};
+pub use sweep::{find_saturation, load_sweep, paper_load_grid, SweepResult};
 pub use traffic::TrafficPattern;
 pub use workload::Workload;

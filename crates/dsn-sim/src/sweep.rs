@@ -2,27 +2,21 @@
 //! (in parallel with rayon) and produce the latency-vs-accepted-traffic
 //! curves of the paper's Figure 10.
 //!
-//! Every sweep point of one invocation shares a single routing instance:
-//! `make_routing` is called **exactly once** per sweep (the schemes are
-//! immutable during a run, and fault rebuilds replace the `Arc` per
-//! simulation), and with [`crate::config::RoutingTables::Flat`] the
-//! flattened candidate table is compiled once before the fan-out so no
-//! rayon worker pays the compile. The `_cached` variants additionally pull
-//! the scheme from a shared [`RoutingCache`], which deduplicates builds
-//! across *separate* sweeps of the same topology — and across the fault
-//! rebuilds inside degraded sweeps.
+//! Every point of one sweep or saturation search shares the caller's
+//! routing instance (schemes are immutable during a run), and the table
+//! the engine selects under [`crate::config::RoutingTables`] is compiled
+//! once before the fan-out, so no rayon worker pays the compile. To share
+//! one build across *separate* sweeps of a topology, fetch the routing
+//! from a [`crate::cache::RoutingCache`] with `get_or_build` first.
 //!
-//! Sweeps parallelize *across* points; the sharded engine
+//! Sweeps parallelize *across* points. The sharded engine
 //! ([`crate::config::EngineKind::Sharded`]) parallelizes *inside* one
-//! simulation. Both draw from the same rayon pool, so combining them
-//! oversubscribes it — prefer point-level parallelism for sweeps (many
-//! independent runs saturate the pool already) and reserve the sharded
-//! engine for single long runs, like the saturated Figure-10 rows or a
-//! bisection probe at one load.
+//! simulation from the same rayon pool, so combining them oversubscribes
+//! it; it has not beaten the event engine in any committed benchmark row,
+//! so the event engine is the one to sweep with.
 
-use crate::cache::RoutingCache;
-use crate::config::{RoutingTables, SimConfig};
-use crate::engine::Simulator;
+use crate::config::SimConfig;
+use crate::engine::{select_flat, Simulator};
 use crate::routing::SimRouting;
 use crate::stats::RunStats;
 use crate::traffic::TrafficPattern;
@@ -82,137 +76,26 @@ impl SweepResult {
     }
 }
 
-/// Prepare one shared routing instance for a sweep: build (or fetch from
-/// the cache) once, then precompile the flat table once — *before* the
-/// parallel fan-out, so workers share it instead of racing to build it.
-fn sweep_routing(
-    graph: &Arc<Graph>,
-    cfg: &SimConfig,
-    cache: Option<(&Arc<RoutingCache>, &str)>,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-) -> Arc<dyn SimRouting> {
-    let routing = match cache {
-        Some((cache, key)) => cache.get_or_build(graph, key, make_routing),
-        None => make_routing(),
-    };
-    // Warm exactly the table the engine will select (memoized per
-    // instance), *before* the parallel fan-out, so workers share it
-    // instead of racing to build it. Algorithmic-capable schemes above
-    // the auto threshold (or under explicit `Algorithmic` mode) never
-    // compile one.
-    let wants_flat = match cfg.routing_tables {
-        RoutingTables::Flat => {
-            !(routing.algorithmic()
-                && graph.node_count() > crate::engine::ALGORITHMIC_AUTO_THRESHOLD)
-        }
-        RoutingTables::Dyn => false,
-        RoutingTables::Algorithmic => !routing.algorithmic(),
-    };
-    if wants_flat {
-        routing.compiled_flat();
-    }
-    routing
-}
-
 /// Run a load sweep: one simulation per offered load (Gbit/s/host), fanned
-/// out over the rayon pool. `make_routing` is called exactly once — every
-/// point shares the immutable routing tables.
+/// out over the rayon pool unless `par` is serial. Every point shares the
+/// immutable `routing`. Each point is seeded as `seed ^ offered.to_bits()`,
+/// so the curve is identical no matter how many points run concurrently.
+#[allow(clippy::too_many_arguments)]
 pub fn load_sweep(
     label: impl Into<String>,
     graph: Arc<Graph>,
     cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    offered_gbps: &[f64],
-    seed: u64,
-) -> SweepResult {
-    load_sweep_with(
-        label,
-        graph,
-        cfg,
-        make_routing,
-        pattern,
-        offered_gbps,
-        seed,
-        &Parallelism::auto(),
-    )
-}
-
-/// [`load_sweep`] under an explicit [`Parallelism`] policy. Each point is
-/// seeded as `seed ^ offered.to_bits()`, so the curve is identical no
-/// matter how many points run concurrently.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_with(
-    label: impl Into<String>,
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    offered_gbps: &[f64],
-    seed: u64,
-    par: &Parallelism,
-) -> SweepResult {
-    let routing = sweep_routing(&graph, cfg, None, make_routing);
-    run_sweep_points(
-        label.into(),
-        graph,
-        cfg,
-        routing,
-        None,
-        pattern,
-        offered_gbps,
-        seed,
-        par,
-    )
-}
-
-/// [`load_sweep_with`] against a shared [`RoutingCache`]: the scheme for
-/// `(graph, scheme_key)` is fetched from (or built into) `cache`, and the
-/// cache is threaded into every simulation so fault rebuilds reaching the
-/// same survivor state are also built only once across the sweep. Produces
-/// bit-identical [`RunStats`] to the uncached sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_cached(
-    label: impl Into<String>,
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    cache: &Arc<RoutingCache>,
-    scheme_key: &str,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    offered_gbps: &[f64],
-    seed: u64,
-    par: &Parallelism,
-) -> SweepResult {
-    let routing = sweep_routing(&graph, cfg, Some((cache, scheme_key)), make_routing);
-    run_sweep_points(
-        label.into(),
-        graph,
-        cfg,
-        routing,
-        Some(cache),
-        pattern,
-        offered_gbps,
-        seed,
-        par,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sweep_points(
-    label: String,
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
     routing: Arc<dyn SimRouting>,
-    cache: Option<&Arc<RoutingCache>>,
     pattern: &TrafficPattern,
     offered_gbps: &[f64],
     seed: u64,
     par: &Parallelism,
 ) -> SweepResult {
+    // Compile the table the engine will select once, before the fan-out.
+    select_flat(cfg.routing_tables, graph.node_count(), routing.as_ref());
     let run_point = |gbps: f64| -> SweepPoint {
         let rate = cfg.packets_per_cycle_for_gbps(gbps);
-        let mut sim = Simulator::new(
+        let sim = Simulator::new(
             graph.clone(),
             cfg.clone(),
             routing.clone(),
@@ -220,9 +103,6 @@ fn run_sweep_points(
             rate,
             seed ^ gbps.to_bits(),
         );
-        if let Some(cache) = cache {
-            sim = sim.with_routing_cache(cache.clone());
-        }
         SweepPoint {
             offered_gbps: gbps,
             stats: sim.run(),
@@ -237,47 +117,22 @@ fn run_sweep_points(
             .collect()
     };
     SweepResult {
-        label,
+        label: label.into(),
         pattern: pattern.name().to_string(),
         points,
     }
 }
 
-/// Interior probe loads per refinement round of [`find_saturation_with`]:
-/// the bracket shrinks by `SECTION_PROBES + 1` per round, and all probes
-/// of a round are independent simulations that can run concurrently.
+/// Interior probe loads per refinement round of [`find_saturation`]: the
+/// bracket shrinks by `SECTION_PROBES + 1` per round, and all probes of a
+/// round are independent simulations that can run concurrently.
 const SECTION_PROBES: usize = 4;
 
 /// Find the saturation throughput (Gbit/s/host) by a sectioned search on
 /// offered load: the largest load in `[lo, hi]` the network accepts
 /// without saturating, to within `tol`. Returns `hi` when even the top of
 /// the range is absorbed (the true saturation point lies above the probe
-/// range). One simulation per probe.
-#[allow(clippy::too_many_arguments)]
-pub fn find_saturation(
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    seed: u64,
-) -> f64 {
-    find_saturation_with(
-        graph,
-        cfg,
-        make_routing,
-        pattern,
-        lo,
-        hi,
-        tol,
-        seed,
-        &Parallelism::auto(),
-    )
-}
-
-/// [`find_saturation`] under an explicit [`Parallelism`] policy.
+/// range). One simulation per probe, all sharing `routing`.
 ///
 /// The initial `probe(hi)` / `probe(lo)` bracket runs both probes
 /// concurrently under a parallel policy (both verdicts are needed unless
@@ -289,58 +144,10 @@ pub fn find_saturation(
 /// decision depends only on the probe verdicts, so the result is
 /// identical for every worker count.
 #[allow(clippy::too_many_arguments)]
-pub fn find_saturation_with(
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    seed: u64,
-    par: &Parallelism,
-) -> f64 {
-    let routing = sweep_routing(&graph, cfg, None, make_routing);
-    saturation_search(graph, cfg, routing, None, pattern, lo, hi, tol, seed, par)
-}
-
-/// [`find_saturation_with`] against a shared [`RoutingCache`]; see
-/// [`load_sweep_cached`] for the caching contract.
-#[allow(clippy::too_many_arguments)]
-pub fn find_saturation_cached(
-    graph: Arc<Graph>,
-    cfg: &SimConfig,
-    cache: &Arc<RoutingCache>,
-    scheme_key: &str,
-    make_routing: impl FnOnce() -> Arc<dyn SimRouting>,
-    pattern: &TrafficPattern,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    seed: u64,
-    par: &Parallelism,
-) -> f64 {
-    let routing = sweep_routing(&graph, cfg, Some((cache, scheme_key)), make_routing);
-    saturation_search(
-        graph,
-        cfg,
-        routing,
-        Some(cache),
-        pattern,
-        lo,
-        hi,
-        tol,
-        seed,
-        par,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn saturation_search(
+pub fn find_saturation(
     graph: Arc<Graph>,
     cfg: &SimConfig,
     routing: Arc<dyn SimRouting>,
-    cache: Option<&Arc<RoutingCache>>,
     pattern: &TrafficPattern,
     mut lo: f64,
     mut hi: f64,
@@ -349,20 +156,19 @@ fn saturation_search(
     par: &Parallelism,
 ) -> f64 {
     assert!(lo > 0.0 && hi > lo && tol > 0.0, "invalid search range");
+    select_flat(cfg.routing_tables, graph.node_count(), routing.as_ref());
     let probe = |gbps: f64| -> bool {
         let rate = cfg.packets_per_cycle_for_gbps(gbps);
-        let mut sim = Simulator::new(
+        Simulator::new(
             graph.clone(),
             cfg.clone(),
             routing.clone(),
             pattern.clone(),
             rate,
             seed ^ gbps.to_bits(),
-        );
-        if let Some(cache) = cache {
-            sim = sim.with_routing_cache(cache.clone());
-        }
-        sim.run().saturated()
+        )
+        .run()
+        .saturated()
     };
     // Establish the bracket. Serially the lo probe is skipped when the top
     // of the range is absorbed; in parallel both verdicts launch together
@@ -434,6 +240,7 @@ pub fn format_sweep(result: &SweepResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::RoutingCache;
     use crate::routing::AdaptiveEscape;
     use dsn_core::ring::Ring;
 
@@ -449,10 +256,11 @@ mod tests {
             "ring-8",
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             &grid,
             1,
+            &Parallelism::auto(),
         );
         assert_eq!(res.points.len(), 3);
         assert!(res.points[0].stats.delivered_packets > 0);
@@ -477,12 +285,13 @@ mod tests {
         let sat = find_saturation(
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             1.0,
             200.0,
             10.0,
             3,
+            &Parallelism::auto(),
         );
         assert!((1.0..=200.0).contains(&sat), "saturation {sat}");
     }
@@ -496,10 +305,11 @@ mod tests {
             "ring-8",
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             &[4.0],
             9,
+            &Parallelism::auto(),
         );
         let s = &res.points[0].stats;
         assert!(s.mean_channel_utilization > 0.0);
@@ -518,25 +328,25 @@ mod tests {
             "ring-8",
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             &grid,
             1,
+            &Parallelism::auto(),
         );
         let cache = Arc::new(RoutingCache::new());
         let builds = AtomicUsize::new(0);
         let key = AdaptiveEscape::key_for(vcs);
         for round in 0..2 {
-            let cached = load_sweep_cached(
+            let routing = cache.get_or_build(&g, &key, || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                Arc::new(AdaptiveEscape::new(g.clone(), vcs))
+            });
+            let cached = load_sweep(
                 "ring-8",
                 g.clone(),
                 &cfg,
-                &cache,
-                &key,
-                || {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(AdaptiveEscape::new(g.clone(), vcs))
-                },
+                routing,
                 &TrafficPattern::Uniform,
                 &grid,
                 1,
@@ -568,10 +378,11 @@ mod tests {
             "ring-8",
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             &[0.5, 1.0],
             2,
+            &Parallelism::auto(),
         );
         assert!(res.saturation_throughput_gbps() > 0.0);
         assert!(res.low_load_latency_ns() > 0.0);

@@ -6,6 +6,7 @@
 //! Run: `cargo run --release --example simulate_traffic [uniform|bitrev|neighbor]`
 
 use dsn::core::dsn::Dsn;
+use dsn::core::parallel::Parallelism;
 use dsn::core::topology::TopologySpec;
 use dsn::sim::sweep::{format_sweep, load_sweep};
 use dsn::sim::{AdaptiveEscape, SimConfig, SourceRouted, TrafficPattern};
@@ -34,16 +35,16 @@ fn main() {
     for spec in TopologySpec::paper_trio(64, 0xD5B0_2013) {
         let built = spec.build().expect("topology");
         let graph = Arc::new(built.graph);
-        let vcs = cfg.vcs;
-        let g2 = graph.clone();
+        let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
         let sweep = load_sweep(
             built.name,
             graph,
             &cfg,
-            move || Arc::new(AdaptiveEscape::new(g2.clone(), vcs)),
+            routing,
             &pattern,
             &loads,
             1,
+            &Parallelism::auto(),
         );
         println!("{}", format_sweep(&sweep));
     }
@@ -51,27 +52,26 @@ fn main() {
     println!("=== routing comparison on DSN-5-64: agnostic vs custom ===\n");
     let dsn = Arc::new(Dsn::new(64, 5).expect("dsn"));
     let graph = Arc::new(dsn.graph().clone());
-    let vcs = cfg.vcs;
-    let g2 = graph.clone();
     let agnostic = load_sweep(
         "DSN-5-64 / adaptive",
         graph.clone(),
         &cfg,
-        move || Arc::new(AdaptiveEscape::new(g2.clone(), vcs)),
+        Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs)),
         &pattern,
         &loads,
         2,
+        &Parallelism::auto(),
     );
     println!("{}", format_sweep(&agnostic));
-    let dsn2 = dsn.clone();
     let custom = load_sweep(
         "DSN-5-64 / custom (3-phase, DSN-V VCs)",
         graph,
         &cfg,
-        move || Arc::new(SourceRouted::dsn_custom(dsn2.clone())),
+        Arc::new(SourceRouted::dsn_custom(dsn.clone())),
         &pattern,
         &loads,
         2,
+        &Parallelism::auto(),
     );
     println!("{}", format_sweep(&custom));
 }

@@ -12,7 +12,7 @@ use dsn::core::parallel::Parallelism;
 use dsn::core::topology::TopologySpec;
 use dsn::metrics::{path_stats, path_stats_with, sampled_path_stats_with};
 use dsn::route::{routing_stats, routing_stats_serial, routing_stats_with};
-use dsn::sim::sweep::{find_saturation_with, load_sweep_with};
+use dsn::sim::sweep::{find_saturation, load_sweep};
 use dsn::sim::{AdaptiveEscape, SimConfig, TrafficPattern};
 use std::sync::Arc;
 
@@ -79,11 +79,11 @@ fn load_sweep_parallel_matches_serial() {
     let vcs = cfg.vcs;
     let grid = [0.5, 2.0, 6.0];
     let run = |par: &Parallelism| {
-        load_sweep_with(
+        load_sweep(
             "torus-16",
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             &grid,
             7,
@@ -109,10 +109,10 @@ fn find_saturation_parallel_matches_serial() {
     let cfg = SimConfig::test_small();
     let vcs = cfg.vcs;
     let run = |par: &Parallelism| {
-        find_saturation_with(
+        find_saturation(
             g.clone(),
             &cfg,
-            || Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
+            Arc::new(AdaptiveEscape::new(g.clone(), vcs)),
             &TrafficPattern::Uniform,
             1.0,
             200.0,
