@@ -18,7 +18,7 @@ use dsn_sim::{
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn run_once(graph: &Arc<dsn_core::graph::Graph>, cfg: &SimConfig, gbps: f64) -> dsn_sim::RunStats {
+fn sim_once(graph: &Arc<dsn_core::graph::Graph>, cfg: &SimConfig, gbps: f64) -> Simulator {
     let rate = cfg.packets_per_cycle_for_gbps(gbps);
     let routing = Arc::new(AdaptiveEscape::new(graph.clone(), cfg.vcs));
     Simulator::new(
@@ -29,7 +29,10 @@ fn run_once(graph: &Arc<dsn_core::graph::Graph>, cfg: &SimConfig, gbps: f64) -> 
         rate,
         7,
     )
-    .run()
+}
+
+fn run_once(graph: &Arc<dsn_core::graph::Graph>, cfg: &SimConfig, gbps: f64) -> dsn_sim::RunStats {
+    sim_once(graph, cfg, gbps).run()
 }
 
 fn bench_sim(c: &mut Criterion) {
@@ -195,12 +198,13 @@ fn bench_sim(c: &mut Criterion) {
         &graph,
         |b, graph| b.iter(|| black_box(run_once(graph, &cfg, 0.5))),
     );
-    let mut cfg_on = cfg.clone();
-    cfg_on.telemetry = Some(cfg_on.standard_telemetry(1_000));
+    let tc = cfg.standard_telemetry(1_000);
     group.bench_with_input(
         BenchmarkId::new("event_n256_0.5gbps", "on_w1000"),
         &graph,
-        |b, graph| b.iter(|| black_box(run_once(graph, &cfg_on, 0.5))),
+        |b, graph| {
+            b.iter(|| black_box(sim_once(graph, &cfg, 0.5).with_telemetry(tc.clone()).run()))
+        },
     );
     group.finish();
 }

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p dsn-bench --bin layout_conscious -- [n]`
 
-use dsn_bench::{Args, UsageError, RANDOM_SEED};
+use dsn_bench::{positional_or, Args, RANDOM_SEED};
 use dsn_core::dln::{DlnRandom, DlnRandomCapped};
 use dsn_core::dsn::Dsn;
 use dsn_layout::{cable_stats, CableModel, LinearPlacement};
@@ -16,12 +16,8 @@ use dsn_metrics::path_stats;
 
 fn main() {
     let usage = "layout_conscious [n]";
-    let n: usize = match Args::from_env().finish_or_exit(1, usage).pop() {
-        None => 1024,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            UsageError(format!("n must be a switch count, got `{v}`")).exit(usage)
-        }),
-    };
+    let pos = Args::from_env().finish_or_exit(1, usage);
+    let n: usize = positional_or(&pos, 0, "a switch count n", 1024, usage);
     let p = dsn_core::util::ceil_log2(n);
     let model = CableModel::default();
     let placement = LinearPlacement::new(n, model.switches_per_cabinet);

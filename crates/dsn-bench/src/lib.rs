@@ -203,6 +203,25 @@ impl Args {
     }
 }
 
+/// Positional argument `i` of `positionals` (as returned by
+/// [`Args::finish_or_exit`]) parsed as `T`, or `default` when it is
+/// absent. A value that does not parse ends the process with `usage` and
+/// exit status 2; `expected` describes a valid value for the message.
+pub fn positional_or<T: std::str::FromStr>(
+    positionals: &[String],
+    i: usize,
+    expected: &str,
+    default: T,
+    usage: &str,
+) -> T {
+    match positionals.get(i) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| UsageError(format!("expected {expected}, got `{v}`")).exit(usage)),
+    }
+}
+
 /// Window width (cycles) used when `--telemetry` is given with no value.
 pub const DEFAULT_TELEMETRY_WINDOW: u64 = 1_000;
 

@@ -121,6 +121,12 @@ fn stray_arguments_and_unsupported_flags_are_usage_errors() {
         &["--telemetry", "250"],
         "unknown pattern `250`",
     );
+    // A positional that does not parse is rejected, not defaulted.
+    assert_usage_error(
+        "layout_conscious",
+        &["abc"],
+        "expected a switch count n, got `abc`",
+    );
     assert_usage_error(
         "deadlock_in_vivo",
         &["--routing-tables=dyn"],

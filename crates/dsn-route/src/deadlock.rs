@@ -46,35 +46,27 @@ pub fn basic_route_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChann
 
 /// Channel sequence of the DSN-V routing: basic path, 4-VC assignment.
 pub fn dsnv_route_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChannel> {
-    let g = dsn.graph();
-    let n = dsn.n();
     let tr = route(dsn, s, t).expect("basic route");
+    trace_channels(dsn.graph(), &tr, dsnv_vc(dsn.n()))
+}
+
+/// The DSN-V VC rule for one route, hop by hop: PRE-WORK on VC0, MAIN on
+/// VC1, FINISH on VC2 until a hop crosses the ring's dateline between
+/// `n-1` and `0` (either direction), VC3 from then on.
+fn dsnv_vc(n: usize) -> impl FnMut(RoutePhase, NodeId, NodeId) -> u8 {
     let mut crossed = false;
-    let mut prev = s;
-    let mut out = Vec::with_capacity(tr.steps.len());
-    for (i, &step) in tr.steps.iter().enumerate() {
-        let cur = tr.path[i + 1];
-        let vc = match tr.phases[i] {
-            RoutePhase::PreWork => 0u8,
-            RoutePhase::Main => 1,
-            RoutePhase::Finish => {
-                // dateline between n-1 and 0, either direction
-                let crossing = (prev == n - 1 && cur == 0) || (prev == 0 && cur == n - 1);
-                if crossing {
-                    crossed = true;
-                }
-                if crossed {
-                    3
-                } else {
-                    2
-                }
+    move |phase, prev, cur| match phase {
+        RoutePhase::PreWork => 0,
+        RoutePhase::Main => 1,
+        RoutePhase::Finish => {
+            crossed |= (prev == n - 1 && cur == 0) || (prev == 0 && cur == n - 1);
+            if crossed {
+                3
+            } else {
+                2
             }
-        };
-        let edge = edge_for_step(g, prev, cur, step);
-        out.push((g.channel_id(edge, prev), vc));
-        prev = cur;
+        }
     }
-    out
 }
 
 /// Channel sequence of the DSN-E routing: basic path over the DSN-E graph,
@@ -146,34 +138,8 @@ pub fn dsne_route_channels(dsne: &DsnE, s: NodeId, t: NodeId) -> Vec<VirtualChan
 /// pred-side dateline never triggers; the succ-side dateline still
 /// protects the wrap. The tests CDG-verify acyclicity exhaustively.
 pub fn dsnv_avoid_overshoot_channels(dsn: &Dsn, s: NodeId, t: NodeId) -> Vec<VirtualChannel> {
-    let g = dsn.graph();
-    let n = dsn.n();
     let tr = crate::dsn_routing::route_avoid_overshoot(dsn, s, t).expect("route");
-    let mut crossed = false;
-    let mut prev = s;
-    let mut out = Vec::with_capacity(tr.steps.len());
-    for (i, &step) in tr.steps.iter().enumerate() {
-        let cur = tr.path[i + 1];
-        let vc = match tr.phases[i] {
-            RoutePhase::PreWork => 0u8,
-            RoutePhase::Main => 1,
-            RoutePhase::Finish => {
-                let crossing = (prev == n - 1 && cur == 0) || (prev == 0 && cur == n - 1);
-                if crossing {
-                    crossed = true;
-                }
-                if crossed {
-                    3
-                } else {
-                    2
-                }
-            }
-        };
-        let edge = edge_for_step(g, prev, cur, step);
-        out.push((g.channel_id(edge, prev), vc));
-        prev = cur;
-    }
-    out
+    trace_channels(dsn.graph(), &tr, dsnv_vc(dsn.n()))
 }
 
 /// Per-packet state of the *incremental* DSN-V router: the three-phase
@@ -421,17 +387,20 @@ fn edge_for_step(g: &Graph, prev: NodeId, cur: NodeId, step: RouteStep) -> usize
     }
 }
 
+/// Channel sequence of a route trace: each hop rides the edge
+/// [`edge_for_step`] picks, on the VC `vc_of(phase, from, to)` returns
+/// (called once per hop, in order).
 fn trace_channels(
     g: &Graph,
     tr: &RouteTrace,
-    vc_of: impl Fn(usize, RoutePhase, RouteStep) -> u8,
+    mut vc_of: impl FnMut(RoutePhase, NodeId, NodeId) -> u8,
 ) -> Vec<VirtualChannel> {
     let mut prev = tr.path[0];
     let mut out = Vec::with_capacity(tr.steps.len());
     for (i, &step) in tr.steps.iter().enumerate() {
         let cur = tr.path[i + 1];
         let edge = edge_for_step(g, prev, cur, step);
-        out.push((g.channel_id(edge, prev), vc_of(i, tr.phases[i], step)));
+        out.push((g.channel_id(edge, prev), vc_of(tr.phases[i], prev, cur)));
         prev = cur;
     }
     out
@@ -625,17 +594,39 @@ mod tests {
 
     #[test]
     fn dsnv_vcs_monotone_per_route() {
-        let dsn = Dsn::new(100, 6).unwrap();
-        for s in 0..100 {
-            for t in 0..100 {
-                if s == t {
-                    continue;
-                }
-                let ch = dsnv_route_channels(&dsn, s, t);
-                let mut prev_vc = 0u8;
-                for &(_, vc) in &ch {
-                    assert!(vc >= prev_vc, "{s}->{t}: VC regressed");
-                    prev_vc = vc;
+        // Both DSN-V channel sequences ride exactly their route's hops, and
+        // their VCs never decrease along a route.
+        type Trace = fn(&Dsn, NodeId, NodeId) -> Result<RouteTrace, crate::dsn_routing::RouteError>;
+        type Channels = fn(&Dsn, NodeId, NodeId) -> Vec<VirtualChannel>;
+        let schemes: [(&str, Trace, Channels); 2] = [
+            ("basic", route, dsnv_route_channels),
+            (
+                "avoid-overshoot",
+                crate::dsn_routing::route_avoid_overshoot,
+                dsnv_avoid_overshoot_channels,
+            ),
+        ];
+        for &n in &[30usize, 64, 100] {
+            let p = dsn_core::util::ceil_log2(n);
+            let dsn = Dsn::new(n, p - 1).unwrap();
+            let g = dsn.graph();
+            for (name, trace, channels) in schemes {
+                for s in 0..n {
+                    for t in 0..n {
+                        if s == t {
+                            continue;
+                        }
+                        let path = trace(&dsn, s, t).unwrap().path;
+                        let ch = channels(&dsn, s, t);
+                        let hops: Vec<_> =
+                            ch.iter().map(|&(c, _)| g.channel_endpoints(c)).collect();
+                        let expected: Vec<_> = path.windows(2).map(|w| (w[0], w[1])).collect();
+                        assert_eq!(hops, expected, "{name} n={n} {s}->{t}: path diverged");
+                        assert!(
+                            ch.windows(2).all(|w| w[0].1 <= w[1].1),
+                            "{name} n={n} {s}->{t}: VC regressed: {ch:?}"
+                        );
+                    }
                 }
             }
         }

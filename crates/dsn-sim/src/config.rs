@@ -166,10 +166,6 @@ pub struct SimConfig {
     /// Scripted runtime fault schedule (links/switches going down and up
     /// mid-run). Empty = no faults, zero overhead.
     pub fault_plan: FaultPlan,
-    /// Telemetry recording (window length + traffic phases). `None` (the
-    /// default) compiles every hook down to a no-op variant check — zero
-    /// measurable overhead; `RunStats` are bit-identical either way.
-    pub telemetry: Option<TelemetryConfig>,
 }
 
 impl Default for SimConfig {
@@ -192,7 +188,6 @@ impl Default for SimConfig {
             measure_cycles: 60_000,
             drain_cycles: 60_000,
             fault_plan: FaultPlan::none(),
-            telemetry: None,
         }
     }
 }
@@ -219,7 +214,6 @@ impl SimConfig {
             measure_cycles: 2_000,
             drain_cycles: 4_000,
             fault_plan: FaultPlan::none(),
-            telemetry: None,
         }
     }
 
@@ -280,9 +274,6 @@ impl SimConfig {
         }
         assert!(self.hosts_per_switch >= 1, "need at least one host");
         assert!(self.cycle_ns > 0.0, "cycle time must be positive");
-        if let Some(tc) = &self.telemetry {
-            tc.validate();
-        }
     }
 }
 

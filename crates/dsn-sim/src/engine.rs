@@ -496,10 +496,10 @@ pub struct Simulator {
 
     pub(crate) stats: StatsCollector,
     pub(crate) tracer: Option<PacketTracer>,
-    /// Telemetry sink ([`Telemetry::Off`] unless `cfg.telemetry` is set or
-    /// [`Self::with_telemetry`] was called). Hooks live in the shared
-    /// mutation helpers below, so both engines feed it identically and
-    /// `RunStats` stay bit-identical whether it is on or off.
+    /// Telemetry sink ([`Telemetry::Off`] unless [`Self::with_telemetry`]
+    /// was called). Hooks live in the shared mutation helpers below, so
+    /// both engines feed it identically and `RunStats` stay bit-identical
+    /// whether it is on or off.
     pub(crate) telemetry: Telemetry,
     /// Per-cycle scratch: which input units already sent a flit.
     pub(crate) input_used: Vec<bool>,
@@ -755,10 +755,6 @@ impl Simulator {
         };
 
         let stats = StatsCollector::new(&cfg);
-        let telemetry = match &cfg.telemetry {
-            Some(tc) => Telemetry::on(tc.clone(), telemetry_topo(&graph, &cfg)),
-            None => Telemetry::Off,
-        };
         let fault = if cfg.fault_plan.is_empty() {
             None
         } else {
@@ -834,7 +830,7 @@ impl Simulator {
             cfg,
             stats,
             tracer: None,
-            telemetry,
+            telemetry: Telemetry::Off,
         }
     }
 
@@ -877,8 +873,7 @@ impl Simulator {
     }
 
     /// Enable telemetry recording with the given configuration (windows +
-    /// phases); returns self for chaining. Equivalent to setting
-    /// `cfg.telemetry` before construction. Call
+    /// phases); returns self for chaining. Call
     /// [`Self::run_with_telemetry`] to get the report back.
     pub fn with_telemetry(mut self, tc: TelemetryConfig) -> Self {
         self.telemetry = Telemetry::on(tc, telemetry_topo(&self.graph, &self.cfg));
@@ -1027,17 +1022,13 @@ impl Simulator {
         match self.cfg.engine {
             crate::config::EngineKind::Dense | crate::config::EngineKind::Event => {
                 self.advance_until(total);
-                if let Some(t) = self.phase_timers.take() {
-                    let name = match self.cfg.engine {
-                        crate::config::EngineKind::Dense => "dense",
-                        _ => "event",
-                    };
-                    eprint!("{}", t.report(name));
-                }
             }
             crate::config::EngineKind::Sharded => {
                 crate::shard::run(self, total);
             }
+        }
+        if let Some(t) = self.phase_timers.take() {
+            eprint!("{}", t.report(self.cfg.engine.name()));
         }
     }
 
@@ -1685,19 +1676,6 @@ impl Simulator {
                     head,
                     flit,
                 });
-                if head {
-                    // Log the slab handoff so telemetry replay can bind the
-                    // destination shard's slot to the same replay identity.
-                    self.telemetry.push_event(dsn_telemetry::HookEvent {
-                        now,
-                        kind: dsn_telemetry::hook_kind::EXPORT,
-                        a: ch as u32,
-                        b: vc as u32,
-                        c: 0,
-                        d: flit.packet,
-                        flag: false,
-                    });
-                }
                 return;
             }
         }
@@ -2100,8 +2078,7 @@ impl Simulator {
                     {
                         self.telemetry.on_flow_completed(
                             crate::stats::flow_class(total) as u32,
-                            fct as u32,
-                            (fct >> 32) as u32,
+                            fct,
                             now,
                         );
                     }

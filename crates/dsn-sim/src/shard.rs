@@ -35,7 +35,7 @@
 //! drain-tail stretches into a single synchronization.
 //!
 //! Determinism and bit-identity with the single-thread event engine
-//! (`tests/shard_equivalence.rs`) rest on three mechanisms:
+//! (`tests/shard_equivalence.rs`) rest on two mechanisms:
 //!
 //! 1. **Deterministic mailbox drain.** At each boundary the coordinator
 //!    drains each shard's outbound mailbox in shard-index order, messages
@@ -61,14 +61,6 @@
 //!    and pushes flits (phases 2–3) strictly before it pops them (phase 5),
 //!    so `peak = max(peak, level + inflow)` per cycle reproduces the
 //!    single-thread high-water marks bit for bit.
-//! 3. **Telemetry replay.** When telemetry is on, shards log raw hook
-//!    calls ([`dsn_telemetry::HookEvent`]) instead of aggregating. The
-//!    coordinator merges the logs each window, sorts by
-//!    `(cycle, kind, args)` — kind ranks encode the engine's phase order —
-//!    and replays into one recorder. Packet slab slots are shard-local, so
-//!    a replay-id table (fed by `EXPORT`/`IMPORT` binder records spliced in
-//!    at cross-shard handoffs) rebinds every event to a stable identity;
-//!    the report carries no packet ids, so the result is byte-identical.
 //!
 //! A packet migrates between slabs when its head flit crosses a cut
 //! channel: the head's [`Packet`] clone travels in a sidecar vector (its
@@ -79,18 +71,20 @@
 //! crosses.
 //!
 //! Runs with a fault plan use instantaneous global operations (zero-lag
-//! credit refunds on drops) that have no lookahead, and the per-packet
-//! tracer wants globally stable uids — both fall back to the single-thread
-//! event path, as does a resolved worker count of 1. The partition depends
-//! only on `cfg.workers` (0 = one shard per rayon worker), never on thread
-//! scheduling, so a fixed worker count gives bit-identical results on any
-//! machine.
+//! credit refunds on drops) that have no lookahead, the per-packet tracer
+//! wants globally stable uids, and the telemetry recorder keys its
+//! per-packet state by slab slot, which is shard-local — all three fall
+//! back to the single-thread event path, as does a resolved worker count
+//! of 1. The fallback *is* the event oracle the equivalence suites compare
+//! against, so its `RunStats` and telemetry bytes match by construction.
+//!
+//! The partition depends only on `cfg.workers` (0 = one shard per rayon
+//! worker), never on thread scheduling, so a fixed worker count gives
+//! bit-identical results on any machine.
 
 use crate::engine::{Flit, Packet, Simulator};
 use crate::workload::Workload;
-use dsn_telemetry::{hook_kind, HookEvent, Telemetry};
 use rayon::prelude::*;
-use std::collections::{HashMap, VecDeque};
 
 /// A flit crossing a cut channel, mailed at the next window boundary.
 /// Kept payload-free (head packets travel in [`ShardCtx::out_packets`], in
@@ -232,94 +226,6 @@ impl Replay {
     }
 }
 
-/// Replay-id allocator + per-shard slot bindings for telemetry replay.
-/// Shard slab slots are local and recycled; replay ids are a parallel
-/// recycled namespace kept consistent across shard boundaries by the
-/// `EXPORT`/`IMPORT` binder records.
-struct TelReplay {
-    /// Per shard: local slab slot -> replay id.
-    maps: Vec<HashMap<u32, u32>>,
-    /// Replay ids of packets mid-flight between shards, keyed by
-    /// `(channel << 8) | vc`, in export order (FIFO — a channel VC streams
-    /// one packet at a time, and the replay sorts all events by cycle, so
-    /// exports and imports on one channel VC interleave in wire order).
-    transit: HashMap<u32, VecDeque<u32>>,
-    free: Vec<u32>,
-    next: u32,
-}
-
-impl TelReplay {
-    fn new(shards: usize) -> Self {
-        TelReplay {
-            maps: (0..shards).map(|_| HashMap::new()).collect(),
-            transit: HashMap::new(),
-            free: Vec::new(),
-            next: 0,
-        }
-    }
-
-    fn fresh_id(&mut self) -> u32 {
-        self.free.pop().unwrap_or_else(|| {
-            let id = self.next;
-            self.next += 1;
-            id
-        })
-    }
-
-    /// Replay one logged hook into the coordinator's recorder. `s` is the
-    /// shard the event came from (selects the slot-binding map).
-    fn replay(&mut self, e: &HookEvent, s: usize, sink: &mut Telemetry) {
-        match e.kind {
-            hook_kind::IMPORT => {
-                let rid = self
-                    .transit
-                    .get_mut(&((e.a << 8) | e.b))
-                    .and_then(|q| q.pop_front())
-                    .expect("IMPORT without a matching EXPORT");
-                self.maps[s].insert(e.d, rid);
-            }
-            hook_kind::EXPORT => {
-                let rid = self.maps[s][&e.d];
-                self.transit
-                    .entry((e.a << 8) | e.b)
-                    .or_default()
-                    .push_back(rid);
-            }
-            hook_kind::CREATED => {
-                let rid = self.fresh_id();
-                self.maps[s].insert(e.a, rid);
-                sink.on_created(rid, e.b, e.c, e.now);
-            }
-            hook_kind::LINK_ARRIVAL => {
-                sink.on_link_arrival(e.a, e.b, e.c, self.maps[s][&e.d], e.flag, e.now);
-            }
-            hook_kind::INJECT_DEPTH => sink.on_inject_depth(e.a, e.now),
-            hook_kind::ALLOC_GRANTED => sink.on_alloc_granted(self.maps[s][&e.a], e.now),
-            hook_kind::ALLOC_BLOCKED => sink.on_alloc_blocked(e.a, e.now),
-            hook_kind::FLIT_SENT => sink.on_flit_sent(e.a, self.maps[s][&e.b], e.flag, e.now),
-            hook_kind::EJECTED => {
-                let rid = self.maps[s][&e.a];
-                sink.on_ejected(rid, e.flag, e.now);
-                if e.flag {
-                    // Delivered: the id may be reused by a later creation
-                    // (which always sorts after this event — creations of a
-                    // cycle replay before its ejections, and the freeing
-                    // slab slot cannot be re-allocated until the next one).
-                    self.free.push(rid);
-                }
-            }
-            hook_kind::DROPPED => {
-                let rid = self.maps[s][&e.a];
-                sink.on_dropped(rid, e.now);
-                self.free.push(rid);
-            }
-            // Flow completions carry no slab slot, so no id remapping.
-            hook_kind::FLOW_COMPLETED => sink.on_flow_completed(e.a, e.b, e.c, e.now),
-            k => unreachable!("unknown hook kind {k}"),
-        }
-    }
-}
-
 /// Contiguous-block partition: switch -> owning shard. The first `n % p`
 /// shards take one extra switch.
 fn partition(n: usize, p: usize) -> Vec<u32> {
@@ -372,11 +278,16 @@ fn run_window(sim: &mut Simulator, win_end: u64) {
 
 /// Run `sim` to `total` cycles under the sharded driver. Falls back to the
 /// single-thread event path for worker count 1, fault plans (their global
-/// zero-lag drop refunds have no lookahead) and attached tracers (their
-/// uids are global creation-order).
+/// zero-lag drop refunds have no lookahead), attached tracers (their uids
+/// are global creation-order) and telemetry (its per-packet state is keyed
+/// by slab slot).
 pub(crate) fn run(sim: &mut Simulator, total: u64) {
     let workers = resolve_workers(sim);
-    if workers <= 1 || !sim.cfg.fault_plan.is_empty() || sim.tracer.is_some() {
+    if workers <= 1
+        || !sim.cfg.fault_plan.is_empty()
+        || sim.tracer.is_some()
+        || sim.telemetry.enabled()
+    {
         crate::event::prepare(sim);
         while sim.now < total {
             crate::event::step(sim, total);
@@ -394,7 +305,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
     let hps = sim.cfg.hosts_per_switch;
     let owner = partition(n, workers);
     let window = sim.cfg.link_delay.max(1).min(sim.cfg.credit_delay.max(1));
-    let telemetry_on = sim.telemetry.enabled();
 
     let cut: Vec<bool> = (0..channels)
         .map(|c| {
@@ -405,7 +315,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
 
     let mut shard_cfg = sim.cfg.clone();
     shard_cfg.engine = crate::config::EngineKind::Event;
-    shard_cfg.telemetry = None;
 
     let mut shards: Vec<Simulator> = (0..workers)
         .map(|s| {
@@ -444,9 +353,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
                 sim.seed,
             );
             sh.routing_cache = sim.routing_cache.clone();
-            if telemetry_on {
-                sh.telemetry = Telemetry::log();
-            }
             sh.shard = Some(Box::new(ShardCtx {
                 remote_link: cut.clone(),
                 remote_credit: cut.clone(),
@@ -473,8 +379,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
         .collect();
 
     let mut rp = Replay::default();
-    let mut tel = telemetry_on.then(|| TelReplay::new(workers));
-    let mut events: Vec<(HookEvent, usize)> = Vec::new();
     let mut logs: Vec<Vec<CycleLog>> = vec![Vec::new(); workers];
     let mut cursors = vec![0usize; workers];
     // Scratch buffers swapped with each shard's mailboxes during the
@@ -486,7 +390,10 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
     // single-thread loop breaks right after the delivering cycle).
     let mut done_now = None;
 
-    let timing = std::env::var_os("DSN_SHARD_TIMING").is_some();
+    // The `DSN_PHASE_TIMING` switch (see `crate::timing`) also prints the
+    // sharded run / exchange / stats split and each shard's phases. The
+    // coordinator never steps, so its own timers are dropped unreported.
+    let timing = sim.phase_timers.take().is_some();
     let (mut t_run, mut t_exch, mut t_stats) = (
         std::time::Duration::ZERO,
         std::time::Duration::ZERO,
@@ -529,19 +436,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
             t_run += t0.elapsed();
         }
 
-        // Telemetry replay: merge this window's logs, sort into the
-        // single-thread hook order, replay into the coordinator's recorder.
-        if let Some(tel) = &mut tel {
-            events.clear();
-            for (s, sh) in shards.iter_mut().enumerate() {
-                events.extend(sh.telemetry.drain_log().into_iter().map(|e| (e, s)));
-            }
-            events.sort_unstable();
-            for (e, s) in &events {
-                tel.replay(e, *s, &mut sim.telemetry);
-            }
-        }
-
         // Mailbox exchange, shard by shard in send order — deterministic
         // (fixed shard iteration, per-shard FIFO) and order-insensitive
         // within an arrival cycle (see module docs), so no sorting pass.
@@ -568,19 +462,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
                     let local = sh.packets.import(p);
                     sh.shard.as_mut().expect("shard ctx").incoming[key] = local;
                     flit.packet = local;
-                    if telemetry_on {
-                        // Binder for the replay-id table, stamped with the
-                        // arrival cycle (sorts before the arrival hook).
-                        sh.telemetry.push_event(HookEvent {
-                            now: msg.t,
-                            kind: hook_kind::IMPORT,
-                            a: msg.ch,
-                            b: msg.vc as u32,
-                            c: 0,
-                            d: local,
-                            flag: false,
-                        });
-                    }
                 } else {
                     flit.packet = sh.shard.as_ref().expect("shard ctx").incoming[key];
                     debug_assert_ne!(flit.packet, NO_INCOMING, "body flit before its head");
@@ -668,8 +549,6 @@ pub(crate) fn run(sim: &mut Simulator, total: u64) {
 
     if timing {
         eprintln!("shard timing: run {t_run:?} exchange {t_exch:?} stats {t_stats:?}");
-    }
-    if sim.phase_timers.is_some() {
         for (s, sh) in shards.iter().enumerate() {
             if let Some(t) = &sh.phase_timers {
                 eprint!("{}", t.report(&format!("shard{s}")));
@@ -730,31 +609,5 @@ mod tests {
         // Empty network: no stall even without progress.
         rp.cycle(4, 0, 0, 0, 0, false);
         assert_eq!(rp.longest_stall, 2);
-    }
-
-    #[test]
-    fn replay_ids_recycle_across_shards() {
-        let mut t = TelReplay::new(2);
-        let mut sink = Telemetry::Off;
-        let ev = |kind, now, a, b, c, d, flag| HookEvent {
-            now,
-            kind,
-            a,
-            b,
-            c,
-            d,
-            flag,
-        };
-        // Shard 0 creates local slot 5, exports it on channel 3 vc 1;
-        // shard 1 imports it as local slot 0.
-        t.replay(&ev(hook_kind::CREATED, 0, 5, 0, 1, 0, false), 0, &mut sink);
-        assert_eq!(t.maps[0][&5], 0);
-        t.replay(&ev(hook_kind::EXPORT, 2, 3, 1, 0, 5, false), 0, &mut sink);
-        t.replay(&ev(hook_kind::IMPORT, 4, 3, 1, 0, 0, false), 1, &mut sink);
-        assert_eq!(t.maps[1][&0], 0, "identity survives the hop");
-        // Delivery frees the id; the next creation reuses it.
-        t.replay(&ev(hook_kind::EJECTED, 9, 0, 0, 0, 0, true), 1, &mut sink);
-        t.replay(&ev(hook_kind::CREATED, 10, 7, 0, 1, 0, false), 0, &mut sink);
-        assert_eq!(t.maps[0][&7], 0, "freed replay id is recycled");
     }
 }

@@ -290,13 +290,13 @@ fn faulted_flows_three_engines_agree() {
 }
 
 /// With telemetry on, every engine must export byte-identical artifacts —
-/// including the new per-class `"fct"` section fed by the
-/// `FLOW_COMPLETED` hook (replayed from shard logs on the sharded path).
+/// including the per-class `"fct"` section fed by the flow-completion
+/// hook (the sharded engine records on the single-thread event path).
 #[test]
 fn flow_telemetry_byte_identical_across_engines() {
     let g = small_dsn();
-    let mut cfg = cfg();
-    cfg.telemetry = Some(cfg.standard_telemetry(512));
+    let cfg = cfg();
+    let tc = cfg.standard_telemetry(512);
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let workload = websearch_flows(0.004);
 
@@ -310,6 +310,7 @@ fn flow_telemetry_byte_identical_across_engines() {
         workload.clone(),
         73,
     )
+    .with_telemetry(tc.clone())
     .run_with_telemetry();
     let dense_rep = dense_rep.expect("telemetry was configured");
     let json = dense_rep.to_json();
@@ -342,6 +343,7 @@ fn flow_telemetry_byte_identical_across_engines() {
     for (label, run_cfg) in runs {
         let (stats, rep) =
             Simulator::with_workload(g.clone(), run_cfg, routing.clone(), workload.clone(), 73)
+                .with_telemetry(tc.clone())
                 .run_with_telemetry();
         let rep = rep.expect("telemetry was configured");
         assert_eq!(dense_stats, stats, "{label}: stats diverged");

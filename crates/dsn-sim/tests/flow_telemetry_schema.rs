@@ -18,14 +18,14 @@ const GOLDEN: &str = include_str!("golden/flow_telemetry_schema.json");
 /// Tiny fixed scenario: DSN with 16 switches, web-search flows at a low
 /// Poisson rate, 256-cycle windows, event engine, fixed seed.
 fn tiny_report() -> String {
-    let mut cfg = SimConfig {
+    let cfg = SimConfig {
         engine: EngineKind::Event,
         warmup_cycles: 200,
         measure_cycles: 1_500,
         drain_cycles: 4_000,
         ..SimConfig::test_small()
     };
-    cfg.telemetry = Some(cfg.standard_telemetry(256));
+    let tc = cfg.standard_telemetry(256);
     let g = Arc::new(Dsn::new(16, 3).unwrap().into_graph());
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let workload = Workload::Flows {
@@ -35,8 +35,9 @@ fn tiny_report() -> String {
             flows_per_cycle: 0.002,
         },
     };
-    let (stats, report) =
-        Simulator::with_workload(g, cfg, routing, workload, 0xF1_07).run_with_telemetry();
+    let (stats, report) = Simulator::with_workload(g, cfg, routing, workload, 0xF1_07)
+        .with_telemetry(tc)
+        .run_with_telemetry();
     assert!(stats.flows_completed > 0, "scenario must complete flows");
     report.expect("telemetry enabled").to_json()
 }

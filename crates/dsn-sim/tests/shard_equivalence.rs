@@ -208,13 +208,12 @@ fn faulted_run_falls_back_and_matches() {
 }
 
 /// With telemetry on, the sharded engine must export byte-identical
-/// artifacts: shard hook logs replayed through the coordinator's recorder
-/// reproduce the single-thread recording exactly.
+/// artifacts (it records on the single-thread event path).
 #[test]
 fn telemetry_byte_identical() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
-    let mut cfg = cfg();
-    cfg.telemetry = Some(cfg.standard_telemetry(512));
+    let cfg = cfg();
+    let tc = cfg.standard_telemetry(512);
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let workload = open(TrafficPattern::Uniform, 0.01);
 
@@ -228,6 +227,7 @@ fn telemetry_byte_identical() {
         workload.clone(),
         31,
     )
+    .with_telemetry(tc.clone())
     .run_with_telemetry();
     let oracle_rep = oracle_rep.expect("telemetry was configured");
     for workers in WORKER_COUNTS {
@@ -242,6 +242,7 @@ fn telemetry_byte_identical() {
             workload.clone(),
             31,
         )
+        .with_telemetry(tc.clone())
         .run_with_telemetry();
         let rep = rep.expect("telemetry was configured");
         assert_eq!(oracle_stats, stats, "{workers} workers: stats diverged");

@@ -18,22 +18,26 @@ use dsn_core::dsn::Dsn;
 use dsn_core::graph::Graph;
 use dsn_core::torus::Torus;
 use dsn_sim::{
-    AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, SourceRouted, TelemetryReport,
-    TrafficPattern, UpDownRouting, Workload,
+    AdaptiveEscape, EngineKind, SimConfig, SimRouting, Simulator, SourceRouted, TelemetryConfig,
+    TelemetryReport, TrafficPattern, UpDownRouting, Workload,
 };
 use std::sync::Arc;
 
-/// Short-horizon config with telemetry enabled (warmup/measure/drain
-/// phases, 512-cycle windows).
+/// Short-horizon config for the telemetry-on runs ([`tc_on`] is its
+/// telemetry).
 fn cfg_on() -> SimConfig {
-    let mut cfg = SimConfig {
+    SimConfig {
         warmup_cycles: 300,
         measure_cycles: 2_500,
         drain_cycles: 2_500,
         ..SimConfig::test_small()
-    };
-    cfg.telemetry = Some(cfg.standard_telemetry(512));
-    cfg
+    }
+}
+
+/// Telemetry for [`cfg_on`] runs: its warmup/measure/drain phases,
+/// 512-cycle windows.
+fn tc_on() -> TelemetryConfig {
+    cfg_on().standard_telemetry(512)
 }
 
 fn open(pattern: TrafficPattern, rate: f64) -> Workload {
@@ -46,11 +50,17 @@ fn open(pattern: TrafficPattern, rate: f64) -> Workload {
 fn run_with(
     g: Arc<Graph>,
     cfg: SimConfig,
+    tc: Option<TelemetryConfig>,
     routing: Arc<dyn SimRouting>,
     workload: Workload,
     seed: u64,
 ) -> (dsn_sim::RunStats, Option<TelemetryReport>) {
-    Simulator::with_workload(g, cfg, routing, workload, seed).run_with_telemetry()
+    let sim = Simulator::with_workload(g, cfg, routing, workload, seed);
+    match tc {
+        Some(tc) => sim.with_telemetry(tc),
+        None => sim,
+    }
+    .run_with_telemetry()
 }
 
 /// Both engines, telemetry on: bit-identical stats AND byte-identical
@@ -58,6 +68,7 @@ fn run_with(
 fn assert_telemetry_agrees(
     g: Arc<Graph>,
     cfg: SimConfig,
+    tc: TelemetryConfig,
     routing: Arc<dyn SimRouting>,
     workload: Workload,
     seed: u64,
@@ -69,6 +80,7 @@ fn assert_telemetry_agrees(
             engine: EngineKind::Dense,
             ..cfg.clone()
         },
+        Some(tc.clone()),
         routing.clone(),
         workload.clone(),
         seed,
@@ -79,6 +91,7 @@ fn assert_telemetry_agrees(
             engine: EngineKind::Event,
             ..cfg
         },
+        Some(tc),
         routing,
         workload,
         seed,
@@ -157,6 +170,7 @@ fn dsn_adaptive_uniform_telemetry_matches() {
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg,
+        tc_on(),
         routing,
         open(TrafficPattern::Uniform, 0.01),
         42,
@@ -179,6 +193,7 @@ fn dsn_updown_transpose_telemetry_matches() {
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg,
+        tc_on(),
         routing,
         open(TrafficPattern::Transpose, 0.004),
         7,
@@ -196,6 +211,7 @@ fn dsn_custom_routing_telemetry_matches() {
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg,
+        tc_on(),
         routing,
         open(TrafficPattern::Uniform, 0.004),
         11,
@@ -212,6 +228,7 @@ fn torus_dor_telemetry_matches() {
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg_on(),
+        tc_on(),
         routing,
         open(TrafficPattern::Uniform, 0.006),
         13,
@@ -228,6 +245,7 @@ fn dln_adaptive_telemetry_matches() {
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg,
+        tc_on(),
         routing,
         open(TrafficPattern::Uniform, 0.004),
         17,
@@ -242,25 +260,22 @@ fn telemetry_on_does_not_perturb_runstats() {
     // RunStats must be bit-identical.
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let on = cfg_on();
-    let off = SimConfig {
-        telemetry: None,
-        ..on.clone()
-    };
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), on.vcs));
     let mut all = Vec::new();
     for engine in [EngineKind::Dense, EngineKind::Event] {
-        for cfg in [&off, &on] {
+        for tc in [None, Some(tc_on())] {
             let (stats, rep) = run_with(
                 g.clone(),
                 SimConfig {
                     engine,
-                    ..cfg.clone()
+                    ..on.clone()
                 },
+                tc.clone(),
                 routing.clone(),
                 open(TrafficPattern::Uniform, 0.01),
                 99,
             );
-            assert_eq!(rep.is_some(), cfg.telemetry.is_some());
+            assert_eq!(rep.is_some(), tc.is_some());
             all.push(stats);
         }
     }
@@ -282,6 +297,7 @@ fn closed_batch_flits_fully_accounted() {
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg.clone(),
+        tc_on(),
         routing,
         Workload::all_to_all(hosts),
         3,
@@ -300,19 +316,18 @@ fn closed_batch_flits_fully_accounted() {
 fn fault_phases_tag_pre_and_post_packets() {
     // A faulted run with explicit pre/post-fault phases: phase totals must
     // partition the packets, and both engines must still agree bit-for-bit.
-    use dsn_sim::{FaultPlan, TelemetryConfig};
+    use dsn_sim::FaultPlan;
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
     let mut cfg = cfg_on();
     let fault_cycle = cfg.warmup_cycles + cfg.measure_cycles / 4;
     cfg.fault_plan = FaultPlan::random_connected(&g, 0xFA11, 4, fault_cycle, 50);
-    cfg.telemetry = Some(
-        TelemetryConfig::windowed(512)
-            .with_phases(&[(0, "pre-fault"), (fault_cycle, "post-fault")]),
-    );
+    let tc = TelemetryConfig::windowed(512)
+        .with_phases(&[(0, "pre-fault"), (fault_cycle, "post-fault")]);
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg,
+        tc,
         routing,
         open(TrafficPattern::Uniform, 0.01),
         0xFA11,
@@ -334,18 +349,19 @@ fn fault_phases_tag_pre_and_post_packets() {
 #[test]
 fn smoke_30k_telemetry_dense_vs_event() {
     let g = Arc::new(Dsn::new(64, 5).unwrap().into_graph());
-    let mut cfg = SimConfig {
+    let cfg = SimConfig {
         warmup_cycles: 5_000,
         measure_cycles: 15_000,
         drain_cycles: 10_000,
         ..SimConfig::default()
     };
-    cfg.telemetry = Some(cfg.standard_telemetry(1_000));
+    let tc = cfg.standard_telemetry(1_000);
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let rate = cfg.packets_per_cycle_for_gbps(1.0);
     let (stats, rep) = assert_telemetry_agrees(
         g,
         cfg,
+        tc,
         routing,
         open(TrafficPattern::Uniform, rate),
         2024,

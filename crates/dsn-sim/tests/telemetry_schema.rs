@@ -15,22 +15,23 @@ const GOLDEN: &str = include_str!("golden/telemetry_schema.json");
 /// Tiny fixed scenario: DSN with 16 switches, short warmup/measure/drain
 /// phases, 256-cycle windows, event engine, fixed seed.
 fn tiny_report() -> String {
-    let mut cfg = SimConfig {
+    let cfg = SimConfig {
         engine: EngineKind::Event,
         warmup_cycles: 200,
         measure_cycles: 1_500,
         drain_cycles: 1_500,
         ..SimConfig::test_small()
     };
-    cfg.telemetry = Some(cfg.standard_telemetry(256));
+    let tc = cfg.standard_telemetry(256);
     let g = Arc::new(Dsn::new(16, 3).unwrap().into_graph());
     let routing = Arc::new(AdaptiveEscape::new(g.clone(), cfg.vcs));
     let workload = Workload::Open {
         pattern: TrafficPattern::Uniform,
         packets_per_cycle_per_host: 0.01,
     };
-    let (_, report) =
-        Simulator::with_workload(g, cfg, routing, workload, 0x7e1e).run_with_telemetry();
+    let (_, report) = Simulator::with_workload(g, cfg, routing, workload, 0x7e1e)
+        .with_telemetry(tc)
+        .run_with_telemetry();
     report.expect("telemetry enabled").to_json()
 }
 

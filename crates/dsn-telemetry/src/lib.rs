@@ -35,8 +35,6 @@ pub mod report;
 pub mod trace;
 
 pub use hist::{bucket_of, bucket_upper_bound, LogHistogram};
-pub use recorder::{
-    hook_kind, ChannelDesc, HookEvent, Recorder, Telemetry, TelemetryConfig, TelemetryTopo,
-};
+pub use recorder::{ChannelDesc, Recorder, Telemetry, TelemetryConfig, TelemetryTopo};
 pub use report::{ClassReport, LinkReport, PhaseReport, Series, TelemetryReport, SCHEMA};
 pub use trace::{PacketTracer, TraceEvent, TraceRecord};

@@ -105,79 +105,14 @@ pub struct TelemetryTopo {
     pub measure_end: u64,
 }
 
-/// Hook-kind discriminants for [`HookEvent`]. The numeric values encode
-/// the simulator's per-cycle phase order (arrivals < injection < allocation
-/// < sends < ejection), so sorting logged events by `(now, kind, ...)`
-/// replays them in exactly the order a single-thread run would have fired
-/// the hooks. Kinds `IMPORT` / `EXPORT` are not hooks: they are binder
-/// records a sharded driver may splice into the log to track packets whose
-/// ids change when they cross a shard boundary; the [`Recorder`] never
-/// receives them.
-pub mod hook_kind {
-    /// Binder: a cross-boundary packet was bound to a new local id.
-    pub const IMPORT: u8 = 0;
-    /// [`Recorder::on_link_arrival`](super::Recorder::on_link_arrival).
-    pub const LINK_ARRIVAL: u8 = 1;
-    /// [`Recorder::on_created`](super::Recorder::on_created).
-    pub const CREATED: u8 = 2;
-    /// [`Recorder::on_inject_depth`](super::Recorder::on_inject_depth).
-    pub const INJECT_DEPTH: u8 = 3;
-    /// [`Recorder::on_alloc_granted`](super::Recorder::on_alloc_granted).
-    pub const ALLOC_GRANTED: u8 = 4;
-    /// [`Recorder::on_alloc_blocked`](super::Recorder::on_alloc_blocked).
-    pub const ALLOC_BLOCKED: u8 = 5;
-    /// [`Recorder::on_flit_sent`](super::Recorder::on_flit_sent).
-    pub const FLIT_SENT: u8 = 6;
-    /// Binder: a packet's head left for another shard.
-    pub const EXPORT: u8 = 7;
-    /// [`Recorder::on_ejected`](super::Recorder::on_ejected).
-    pub const EJECTED: u8 = 8;
-    /// [`Recorder::on_dropped`](super::Recorder::on_dropped).
-    pub const DROPPED: u8 = 9;
-    /// [`Recorder::on_flow_completed`](super::Recorder::on_flow_completed).
-    /// Fired by the ejection that completes a measured flow, so it sorts
-    /// after `EJECTED` within a cycle — safe, because flow-completion
-    /// aggregation commutes with every other hook.
-    pub const FLOW_COMPLETED: u8 = 10;
-}
-
-/// One recorded hook call in flat form, produced by [`Telemetry::Log`].
-///
-/// The fields `a..d` hold the hook's arguments in declaration order (unused
-/// ones zero); `flag` holds its `is_tail` argument when present. The derived
-/// `Ord` compares `(now, kind, a, b, c, d, flag)`, which is exactly the
-/// replay order a merged multi-shard log must be sorted into (see
-/// [`hook_kind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct HookEvent {
-    /// Cycle the hook fired at.
-    pub now: u64,
-    /// Discriminant from [`hook_kind`].
-    pub kind: u8,
-    /// First hook argument.
-    pub a: u32,
-    /// Second hook argument.
-    pub b: u32,
-    /// Third hook argument.
-    pub c: u32,
-    /// Fourth hook argument.
-    pub d: u32,
-    /// The hook's `is_tail` argument (false when it has none).
-    pub flag: bool,
-}
-
 /// Telemetry switch: `Off` compiles every hook down to a predictable
-/// branch-not-taken; `On` forwards to a [`Recorder`]; `Log` appends flat
-/// [`HookEvent`] records instead of aggregating, for a driver that replays
-/// several logs into one recorder (the sharded engine).
+/// branch-not-taken; `On` forwards to a [`Recorder`].
 #[derive(Debug)]
 pub enum Telemetry {
     /// Recording disabled (the default): hooks are no-ops.
     Off,
     /// Recording enabled.
     On(Box<Recorder>),
-    /// Hook calls are appended verbatim to the event log for later replay.
-    Log(Vec<HookEvent>),
 }
 
 impl Telemetry {
@@ -186,62 +121,30 @@ impl Telemetry {
         Telemetry::On(Box::new(Recorder::new(cfg, topo)))
     }
 
-    /// Build a logging sink (hooks recorded as [`HookEvent`]s for replay).
-    pub fn log() -> Self {
-        Telemetry::Log(Vec::new())
-    }
-
-    /// True when hooks are observed (recording or logging).
+    /// True when hooks are recorded.
     pub fn enabled(&self) -> bool {
-        !matches!(self, Telemetry::Off)
+        matches!(self, Telemetry::On(_))
     }
 
-    /// Drain the accumulated event log (empty unless this is `Log`).
-    pub fn drain_log(&mut self) -> Vec<HookEvent> {
-        match self {
-            Telemetry::Log(v) => std::mem::take(v),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Append a raw event to the log (no-op unless this is `Log`) — used by
-    /// drivers to splice binder records ([`hook_kind::IMPORT`] /
-    /// [`hook_kind::EXPORT`]) among the hook events.
-    pub fn push_event(&mut self, e: HookEvent) {
-        if let Telemetry::Log(v) = self {
-            v.push(e);
-        }
-    }
-
-    /// Finalize into a report (None when off or logging). `final_cycle` is
-    /// the cycle the run stopped at.
+    /// Finalize into a report (None when off). `final_cycle` is the cycle
+    /// the run stopped at.
     pub fn finish(self, final_cycle: u64) -> Option<crate::report::TelemetryReport> {
         match self {
-            Telemetry::Off | Telemetry::Log(_) => None,
+            Telemetry::Off => None,
             Telemetry::On(r) => Some(r.finish(final_cycle)),
         }
     }
 }
 
 macro_rules! forward_hooks {
-    ($($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*; $now:ident: u64) => [$kind:expr, $a:expr, $b:expr, $c:expr, $d:expr, $flag:expr];)*) => {
+    ($($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*; $now:ident: u64);)*) => {
         impl Telemetry {
             $(
                 $(#[$doc])*
                 #[inline]
                 pub fn $name(&mut self, $($arg: $ty,)* $now: u64) {
-                    match self {
-                        Telemetry::Off => {}
-                        Telemetry::On(r) => r.$name($($arg,)* $now),
-                        Telemetry::Log(v) => v.push(HookEvent {
-                            now: $now,
-                            kind: $kind,
-                            a: $a,
-                            b: $b,
-                            c: $c,
-                            d: $d,
-                            flag: $flag,
-                        }),
+                    if let Telemetry::On(r) = self {
+                        r.$name($($arg,)* $now);
                     }
                 }
             )*
@@ -251,38 +154,28 @@ macro_rules! forward_hooks {
 
 forward_hooks! {
     /// A packet entered the network (slab slot, endpoints, cycle).
-    on_created(slot: u32, src_sw: u32, dest_sw: u32; now: u64)
-        => [hook_kind::CREATED, slot, src_sw, dest_sw, 0, false];
+    on_created(slot: u32, src_sw: u32, dest_sw: u32; now: u64);
     /// A head packet won VC allocation (network grant or ejection grant).
-    on_alloc_granted(slot: u32; now: u64)
-        => [hook_kind::ALLOC_GRANTED, slot, 0, 0, 0, false];
+    on_alloc_granted(slot: u32; now: u64);
     /// A head packet attempted VC allocation at `node` and found no free
     /// output VC with enough credits.
-    on_alloc_blocked(node: u32; now: u64)
-        => [hook_kind::ALLOC_BLOCKED, node, 0, 0, 0, false];
+    on_alloc_blocked(node: u32; now: u64);
     /// A flit crossed the crossbar onto channel `ch`.
-    on_flit_sent(ch: u32, slot: u32, is_tail: bool; now: u64)
-        => [hook_kind::FLIT_SENT, ch, slot, 0, 0, is_tail];
+    on_flit_sent(ch: u32, slot: u32, is_tail: bool; now: u64);
     /// A flit arrived off channel `ch`'s wire into input VC `vc`, leaving
     /// that buffer `depth` flits deep.
-    on_link_arrival(ch: u32, vc: u32, depth: u32, slot: u32, is_tail: bool; now: u64)
-        => [hook_kind::LINK_ARRIVAL, ch, vc, depth, slot, is_tail];
+    on_link_arrival(ch: u32, vc: u32, depth: u32, slot: u32, is_tail: bool; now: u64);
     /// A freshly injected flit left the source host's injection queue
     /// `depth` flits deep.
-    on_inject_depth(depth: u32; now: u64)
-        => [hook_kind::INJECT_DEPTH, depth, 0, 0, 0, false];
+    on_inject_depth(depth: u32; now: u64);
     /// A flit was ejected into its destination host; `is_tail` marks the
     /// packet as delivered.
-    on_ejected(slot: u32, is_tail: bool; now: u64)
-        => [hook_kind::EJECTED, slot, 0, 0, 0, is_tail];
+    on_ejected(slot: u32, is_tail: bool; now: u64);
     /// A packet was dropped by a fault (or became unroutable).
-    on_dropped(slot: u32; now: u64)
-        => [hook_kind::DROPPED, slot, 0, 0, 0, false];
+    on_dropped(slot: u32; now: u64);
     /// A measured flow completed: `class` is its log2 flow-size class and
-    /// `fct_lo`/`fct_hi` the completion time in cycles split into 32-bit
-    /// halves (hook arguments are `u32`).
-    on_flow_completed(class: u32, fct_lo: u32, fct_hi: u32; now: u64)
-        => [hook_kind::FLOW_COMPLETED, class, fct_lo, fct_hi, 0, false];
+    /// `fct` its completion time in cycles.
+    on_flow_completed(class: u32, fct: u64; now: u64);
 }
 
 /// A windowed per-index counter table: counts are accumulated into the
@@ -584,10 +477,8 @@ impl Recorder {
     }
 
     /// A measured flow completed. `class` is the flow's log2 size class
-    /// and `fct_lo`/`fct_hi` the low/high 32-bit halves of its completion
-    /// time in cycles (reassembled here; hook arguments are `u32`).
-    pub fn on_flow_completed(&mut self, class: u32, fct_lo: u32, fct_hi: u32, _now: u64) {
-        let fct = fct_lo as u64 | ((fct_hi as u64) << 32);
+    /// and `fct` its completion time in cycles.
+    pub fn on_flow_completed(&mut self, class: u32, fct: u64, _now: u64) {
         self.fct_classes[(class as usize).min(FCT_CLASSES - 1)].record(fct);
     }
 
@@ -816,12 +707,12 @@ mod tests {
     #[test]
     fn flow_completions_aggregate_by_class() {
         let mut r = Recorder::new(TelemetryConfig::windowed(16), topo());
-        r.on_flow_completed(0, 12, 0, 20);
-        r.on_flow_completed(0, 20, 0, 30);
-        // 64-bit FCT reassembly: lo=1, hi=1 -> 2^32 + 1.
-        r.on_flow_completed(3, 1, 1, 40);
+        r.on_flow_completed(0, 12, 20);
+        r.on_flow_completed(0, 20, 30);
+        // FCTs past 32 bits are kept whole.
+        r.on_flow_completed(3, (1 << 32) + 1, 40);
         // Out-of-range class clamps into the open-ended last class.
-        r.on_flow_completed(99, 5, 0, 50);
+        r.on_flow_completed(99, 5, 50);
         let rep = r.finish(60);
         assert_eq!(rep.fct.len(), 3);
         assert_eq!(rep.fct[0].class, 0);

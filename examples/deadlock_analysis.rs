@@ -7,12 +7,12 @@
 use dsn::core::dsn::Dsn;
 use dsn::core::dsn_ext::DsnE;
 use dsn::route::deadlock::{basic_cdg, dsne_cdg, dsne_group_dependencies, dsnv_cdg};
+use dsn_bench::{positional_or, Args};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(60);
+    let usage = "deadlock_analysis [n]";
+    let pos = Args::from_env().finish_or_exit(1, usage);
+    let n: usize = positional_or(&pos, 0, "a switch count n", 60, usage);
     let p = dsn::core::util::ceil_log2(n);
     if !n.is_multiple_of(p as usize) {
         eprintln!(

@@ -7,15 +7,15 @@
 
 use dsn::core::topology::TopologySpec;
 use dsn::metrics::{edge_connectivity, estimate_bisection, path_diversity_histogram, path_stats};
+use dsn_bench::{positional_or, Args};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(128);
+    let usage = "fault_tolerance [n]";
+    let pos = Args::from_env().finish_or_exit(1, usage);
+    let n: usize = positional_or(&pos, 0, "a switch count n", 128, usage);
 
     println!("Fault tolerance at N = {n}\n");
     println!(

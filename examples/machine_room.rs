@@ -6,12 +6,12 @@
 
 use dsn::core::topology::TopologySpec;
 use dsn::layout::{cable_stats, CableModel, FloorPlan, LinearPlacement};
+use dsn_bench::{positional_or, Args};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1024);
+    let usage = "machine_room [n]";
+    let pos = Args::from_env().finish_or_exit(1, usage);
+    let n: usize = positional_or(&pos, 0, "a switch count n", 1024, usage);
     let p = dsn::core::util::ceil_log2(n);
 
     let model = CableModel::default();

@@ -10,13 +10,23 @@ use dsn::core::parallel::Parallelism;
 use dsn::core::topology::TopologySpec;
 use dsn::sim::sweep::{format_sweep, load_sweep};
 use dsn::sim::{AdaptiveEscape, SimConfig, SourceRouted, TrafficPattern};
+use dsn_bench::{Args, UsageError};
 use std::sync::Arc;
 
 fn main() {
-    let pattern = match std::env::args().nth(1).as_deref() {
+    let usage = "simulate_traffic [uniform|bitrev|neighbor]";
+    let pattern = match Args::from_env()
+        .finish_or_exit(1, usage)
+        .first()
+        .map(String::as_str)
+    {
+        None | Some("uniform") => TrafficPattern::Uniform,
         Some("bitrev") => TrafficPattern::BitReversal,
         Some("neighbor") => TrafficPattern::neighboring_paper(),
-        _ => TrafficPattern::Uniform,
+        Some(other) => UsageError(format!(
+            "pattern must be uniform, bitrev or neighbor, got `{other}`"
+        ))
+        .exit(usage),
     };
 
     // Shortened windows keep this example interactive (~seconds).

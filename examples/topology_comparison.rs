@@ -6,12 +6,12 @@
 use dsn::core::topology::TopologySpec;
 use dsn::metrics::clustering::{avg_clustering, small_world_sigma};
 use dsn::metrics::{path_stats, TopologyReport};
+use dsn_bench::{positional_or, Args};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(256);
+    let usage = "topology_comparison [n]";
+    let pos = Args::from_env().finish_or_exit(1, usage);
+    let n: usize = positional_or(&pos, 0, "a switch count n", 256, usage);
     let p = dsn::core::util::ceil_log2(n);
 
     println!("Topology comparison at N = {n}\n");

@@ -6,17 +6,14 @@
 
 use dsn::core::dsn::Dsn;
 use dsn::route::dsn_routing::{route, RoutePhase, RouteStep};
+use dsn_bench::{positional_or, Args};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(32);
+    let usage = "visualize_dsn [n] [x]";
+    let pos = Args::from_env().finish_or_exit(2, usage);
+    let n: usize = positional_or(&pos, 0, "a switch count n", 32, usage);
     let p_default = dsn::core::util::ceil_log2(n).saturating_sub(1).max(1);
-    let x: u32 = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(p_default);
+    let x: u32 = positional_or(&pos, 1, "a shortcut parameter x", p_default, usage);
     let dsn = match Dsn::new(n, x) {
         Ok(d) => d,
         Err(e) => {
